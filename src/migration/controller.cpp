@@ -32,6 +32,30 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
+// Sorts `io` by (column, row) and calls run(i, j) for each stretch
+// [i, j) that goes to disk as one access: whole-block entries on
+// consecutive rows of one column form a vectored run; a partial range is
+// a stretch of its own.
+template <class Io, class Run>
+void for_each_run(std::vector<Io>& io, std::size_t bs, Run&& run) {
+  std::sort(io.begin(), io.end(), [](const Io& a, const Io& b) {
+    return std::pair(a.cell.col, a.cell.row) <
+           std::pair(b.cell.col, b.cell.row);
+  });
+  const auto whole = [bs](const Io& x) { return x.lo == 0 && x.hi == bs; };
+  std::size_t i = 0;
+  while (i < io.size()) {
+    std::size_t j = i + 1;
+    while (whole(io[i]) && j < io.size() && whole(io[j]) &&
+           io[j].cell.col == io[i].cell.col &&
+           io[j].cell.row == io[j - 1].cell.row + 1) {
+      ++j;
+    }
+    run(i, j);
+    i = j;
+  }
+}
+
 }  // namespace
 
 ArrayController::ArrayController(DiskArray& array,
@@ -113,17 +137,6 @@ ArrayController::ArrayController(DiskArray& array,
   if (const auto v = util::env_int("C56_SUBBLOCK", 0, 1)) {
     subblock_delta_ = *v != 0;
   }
-  if (const auto v = util::env_int("C56_SUBBLOCK_PROMOTE_PCT", 1, 100)) {
-    subblock_promote_pct_ = static_cast<int>(*v);
-  }
-}
-
-void ArrayController::set_subblock_promote_pct(int pct) {
-  if (pct < 1 || pct > 100) {
-    throw std::invalid_argument(
-        "set_subblock_promote_pct: pct must be in [1, 100]");
-  }
-  subblock_promote_pct_ = pct;
 }
 
 std::int64_t ArrayController::logical_blocks() const {
@@ -225,33 +238,16 @@ void ArrayController::read(std::int64_t logical, std::span<std::uint8_t> out) {
 
 void ArrayController::write(std::int64_t logical,
                             std::span<const std::uint8_t> in) {
-  const Locus l = locate(logical);
-  const std::size_t bs = array_.block_bytes();
-  std::lock_guard sl(stripe_lock(l.stripe));
-  PooledBuffer old(bs), delta(bs), par(bs);
-  if (!(cache_ && cache_->lookup(l.stripe, flat_of(l.cell), old.span()))) {
-    read_cell(l.stripe, l.cell, old.span());  // reconstructs when degraded
+  if (logical < 0 || logical >= logical_blocks()) {
+    throw std::out_of_range("ArrayController::write: bad logical block");
   }
-  xor_to(delta.data(), old.data(), in.data(), bs);
-  if (all_zero(delta.span())) {  // idempotent write, nothing to do
-    cache_fill(l.stripe, l.cell, in);
-    return;
+  if (in.size() != array_.block_bytes()) {
+    throw std::invalid_argument("ArrayController::write: bad buffer size");
   }
-
-  const int idx = data_index_[static_cast<std::size_t>(flat_of(l.cell))];
-  for (Cell pc : parities_of(idx)) {
-    if (cell_failed(pc)) continue;  // regenerated at rebuild time
-    const int d = disk_of(pc.col);
-    const std::int64_t b = block_of(l.stripe, pc.row);
-    array_.read_block(d, b, par.span());
-    xor_into(par.span(), delta.span());
-    array_.write_block(d, b, par.span());
-  }
-  if (!cell_failed(l.cell)) {
-    array_.write_block(disk_of(l.cell.col), block_of(l.stripe, l.cell.row),
-                       in);
-  }
-  cache_fill(l.stripe, l.cell, in);
+  const SubWrite w{logical, 0, in};
+  const std::int64_t stripe = locate(logical).stripe;
+  std::lock_guard sl(stripe_lock(stripe));
+  write_stripe(stripe, {&w, 1});
 }
 
 void ArrayController::read(std::int64_t logical, std::int64_t count,
@@ -314,22 +310,19 @@ void ArrayController::write(std::int64_t logical, std::int64_t count,
                -1, "ranged_write");
   }
   const auto per = static_cast<std::int64_t>(data_cells_.size());
+  std::vector<SubWrite> ops;
+  ops.reserve(static_cast<std::size_t>(std::min(per, count)));
   std::int64_t done = 0;
   while (done < count) {
     const std::int64_t l = logical + done;
-    const auto i0 = static_cast<int>(l % per);
-    const auto n =
-        static_cast<int>(std::min<std::int64_t>(per - i0, count - done));
-    const auto chunk = in.subspan(static_cast<std::size_t>(done) * bs,
-                                  static_cast<std::size_t>(n) * bs);
-    std::lock_guard sl(stripe_lock(l / per));
-    if (i0 == 0 && n == per) {
-      if (obs_on) full_stripe_writes_.inc();
-      write_full_stripe(l / per, chunk);
-    } else {
-      if (obs_on) partial_stripe_writes_.inc();
-      write_partial_stripe(l / per, i0, n, chunk);
+    const std::int64_t n = std::min(per - l % per, count - done);
+    ops.clear();
+    for (std::int64_t k = 0; k < n; ++k) {
+      ops.push_back(
+          {l + k, 0, in.subspan(static_cast<std::size_t>(done + k) * bs, bs)});
     }
+    std::lock_guard sl(stripe_lock(l / per));
+    write_stripe(l / per, ops);
     done += n;
   }
   if (obs_on) {
@@ -340,281 +333,323 @@ void ArrayController::write(std::int64_t logical, std::int64_t count,
 
 void ArrayController::read_run(std::int64_t stripe, int i0, int n,
                                std::span<std::uint8_t> out) {
-  std::vector<CellFetch> want(static_cast<std::size_t>(n));
+  const std::size_t bs = array_.block_bytes();
+  std::vector<CellRead> rd;
   for (int k = 0; k < n; ++k) {
-    want[static_cast<std::size_t>(k)] = {
-        data_cells_[static_cast<std::size_t>(i0 + k)], k};
+    const Cell c = data_cells_[static_cast<std::size_t>(i0 + k)];
+    const auto dst = out.subspan(static_cast<std::size_t>(k) * bs, bs);
+    if (cache_ && cache_->lookup(stripe, flat_of(c), dst)) continue;
+    if (cell_failed(c)) {
+      reconstruct_cell(stripe, c, dst);
+      cache_fill(stripe, c, dst);
+    } else {
+      rd.push_back({c, 0, bs, dst.data()});
+    }
   }
-  fetch_cells(stripe, want, out.data(), /*use_cache=*/true);
+  read_cells(stripe, rd);
+  for (const CellRead& x : rd) cache_fill(stripe, x.cell, {x.block, bs});
 }
 
-void ArrayController::fetch_cells(std::int64_t stripe,
-                                  std::span<const CellFetch> want,
-                                  std::uint8_t* dst_blocks, bool use_cache) {
+void ArrayController::read_cells(std::int64_t stripe,
+                                 std::vector<CellRead>& io) {
   const std::size_t bs = array_.block_bytes();
-  std::vector<CellFetch> rest;  // cache misses on surviving disks
-  rest.reserve(want.size());
-  for (const CellFetch& cf : want) {
-    const std::span<std::uint8_t> dst{
-        dst_blocks + static_cast<std::size_t>(cf.dst) * bs, bs};
-    if (use_cache && cache_ && cache_->lookup(stripe, flat_of(cf.cell), dst)) {
-      continue;
-    }
-    if (cell_failed(cf.cell)) {
-      reconstruct_cell(stripe, cf.cell, dst);
-      if (use_cache) cache_fill(stripe, cf.cell, dst);
-      continue;
-    }
-    rest.push_back(cf);
-  }
-  std::sort(rest.begin(), rest.end(),
-            [](const CellFetch& a, const CellFetch& b) {
-              return std::pair(a.cell.col, a.cell.row) <
-                     std::pair(b.cell.col, b.cell.row);
-            });
-  std::size_t i = 0;
-  while (i < rest.size()) {
-    std::size_t j = i + 1;
-    while (j < rest.size() && rest[j].cell.col == rest[i].cell.col &&
-           rest[j].cell.row == rest[j - 1].cell.row + 1) {
-      ++j;
-    }
-    const auto m = static_cast<int>(j - i);
-    const int d = disk_of(rest[i].cell.col);
-    const std::int64_t b0 = block_of(stripe, rest[i].cell.row);
-    bool per_block = (m == 1);
-    if (m > 1) {
-      PooledBuffer staging(static_cast<std::size_t>(m) * bs);
-      const IoResult r = array_.read_blocks(d, b0, m, staging.span());
+  for_each_run(io, bs, [&](std::size_t i, std::size_t j) {
+    const int d = disk_of(io[i].cell.col);
+    if (j - i > 1) {
+      PooledBuffer staging((j - i) * bs);
+      const IoResult r =
+          array_.read_blocks(d, block_of(stripe, io[i].cell.row),
+                             static_cast<std::int64_t>(j - i), staging.span());
       if (r.ok()) {
-        for (int k = 0; k < m; ++k) {
-          const std::span<std::uint8_t> dst{
-              dst_blocks + static_cast<std::size_t>(rest[i + k].dst) * bs, bs};
-          std::memcpy(dst.data(),
-                      staging.data() + static_cast<std::size_t>(k) * bs, bs);
-          if (use_cache) cache_fill(stripe, rest[i + k].cell, dst);
+        for (std::size_t k = i; k < j; ++k) {
+          std::memcpy(io[k].block, staging.data() + (k - i) * bs, bs);
         }
-      } else {
-        per_block = true;  // injected fault: reads are idempotent, redo
+        return;
       }
+      // An injected fault: reads are idempotent, so redo the run block
+      // by block with retries.
     }
-    if (per_block) {
-      for (int k = 0; k < m; ++k) {
-        const std::span<std::uint8_t> dst{
-            dst_blocks + static_cast<std::size_t>(rest[i + k].dst) * bs, bs};
-        const IoResult r = read_block_retry(array_, d, b0 + k, dst,
-                                            RetryPolicy{}, nullptr);
-        if (!r.ok()) throw_io("read failed", r);
-        if (use_cache) cache_fill(stripe, rest[i + k].cell, dst);
-      }
+    for (std::size_t k = i; k < j; ++k) {
+      const CellRead& x = io[k];
+      const IoResult r = read_range_retry(
+          array_, d, block_of(stripe, x.cell.row), x.lo,
+          {x.block + x.lo, x.hi - x.lo}, RetryPolicy{}, nullptr);
+      if (!r.ok()) throw_io("read failed", r);
     }
-    i = j;
-  }
+  });
 }
 
 void ArrayController::write_cells(std::int64_t stripe,
-                                  std::span<const CellWrite> want) {
-  if (want.empty()) return;
+                                  std::vector<CellWrite>& io) {
   const std::size_t bs = array_.block_bytes();
-  std::vector<CellWrite> w(want.begin(), want.end());
-  std::sort(w.begin(), w.end(), [](const CellWrite& a, const CellWrite& b) {
-    return std::pair(a.cell.col, a.cell.row) <
-           std::pair(b.cell.col, b.cell.row);
+  // A disk that dies mid-batch is left to fail_disk/rebuild_disk; any
+  // other failure that survives the retries is reported once the batch
+  // is out.
+  IoResult bad;
+  const auto note = [&bad](const IoResult& r) {
+    if (bad.ok() && !r.ok() && r.status != IoStatus::kDiskFailed) bad = r;
+  };
+  for_each_run(io, bs, [&](std::size_t i, std::size_t j) {
+    const int d = disk_of(io[i].cell.col);
+    if (j - i > 1) {
+      PooledBuffer staging((j - i) * bs);
+      for (std::size_t k = i; k < j; ++k) {
+        std::memcpy(staging.data() + (k - i) * bs, io[k].block, bs);
+      }
+      const IoResult r =
+          array_.write_blocks(d, block_of(stripe, io[i].cell.row),
+                              static_cast<std::int64_t>(j - i), staging.span());
+      if (r.status != IoStatus::kTornWrite) {
+        note(r);
+        return;
+      }
+      // A torn block is repaired by a full rewrite; redo the run block
+      // by block so only the torn one is retried with backoff.
+    }
+    for (std::size_t k = i; k < j; ++k) {
+      const CellWrite& x = io[k];
+      note(write_range_retry(array_, d, block_of(stripe, x.cell.row), x.lo,
+                             {x.block + x.lo, x.hi - x.lo}, RetryPolicy{},
+                             nullptr));
+    }
   });
-  PooledBuffer staging(static_cast<std::size_t>(code_->rows()) * bs);
-  std::size_t i = 0;
-  while (i < w.size()) {
-    std::size_t j = i + 1;
-    while (j < w.size() && w[j].cell.col == w[i].cell.col &&
-           w[j].cell.row == w[j - 1].cell.row + 1) {
-      ++j;
-    }
-    const auto m = static_cast<int>(j - i);
-    const int d = disk_of(w[i].cell.col);
-    const std::int64_t b0 = block_of(stripe, w[i].cell.row);
-    if (m == 1) {
-      array_.write_block(d, b0, {w[i].src, bs});
-    } else {
-      for (int k = 0; k < m; ++k) {
-        std::memcpy(staging.data() + static_cast<std::size_t>(k) * bs,
-                    w[i + k].src, bs);
-      }
-      const IoResult r = array_.write_blocks(
-          d, b0, m,
-          staging.span().subspan(0, static_cast<std::size_t>(m) * bs));
-      if (r.status == IoStatus::kTornWrite) {
-        // A torn block is repaired by a full rewrite; redo the run per
-        // block so only the torn one is retried with backoff.
-        for (int k = 0; k < m; ++k) {
-          write_block_retry(array_, d, b0 + k, {w[i + k].src, bs},
-                            RetryPolicy{}, nullptr);
-        }
-      }
-    }
-    i = j;
-  }
+  if (!bad.ok()) throw_io("write failed", bad);
 }
 
-void ArrayController::write_full_stripe(std::int64_t stripe,
-                                        std::span<const std::uint8_t> in) {
+void ArrayController::write_stripe(std::int64_t stripe,
+                                   std::span<const SubWrite> ops) {
   const std::size_t bs = array_.block_bytes();
-  const int rows = code_->rows();
   const int cols = code_->cols();
-  PooledBuffer sbuf(static_cast<std::size_t>(code_->cell_count()) * bs);
-  StripeView v(sbuf.span(), rows, cols, bs);
-  for (std::size_t i = 0; i < data_cells_.size(); ++i) {
-    std::memcpy(v.block(data_cells_[i]).data(), in.data() + i * bs, bs);
+  const auto per = static_cast<std::int64_t>(data_cells_.size());
+
+  // A touched data cell. [lo, hi) is the hull of the cell's entries (the
+  // whole block with the delta plane off): the only bytes read, compared
+  // and written for it. `whole` means an entry covers the block, so the
+  // new image needs no old bytes.
+  struct Touch {
+    int idx;
+    std::size_t lo, hi;
+    int entries = 0;
+    bool whole = false;
+    bool need_old = false;
+    bool old_full = false;  // the whole old block is known
+    bool changed = true;
+    const std::uint8_t* img = nullptr;  // new image, block base
+  };
+  // A surviving parity the batch feeds. Direct parities are recomputed
+  // from new images; the others are read-modify-written over [lo, hi),
+  // the union of their changed inputs' ranges (empty: nothing to do).
+  struct Par {
+    int flat;
+    bool direct;
+    std::size_t lo, hi;
+    const std::uint8_t* img = nullptr;  // new image, block base
+  };
+  // Scratch reused across calls on this thread (the planner never
+  // nests), so a steady-state write allocates nothing.
+  thread_local std::vector<int> slot_of, pslot;
+  thread_local std::vector<Touch> touch;
+  thread_local std::vector<Par> par;
+  thread_local std::vector<CellRead> rd;
+  thread_local std::vector<CellWrite> wr;
+  thread_local std::vector<const std::uint8_t*> srcs;
+  slot_of.assign(data_cells_.size(), -1);
+  pslot.assign(kind_.size(), -1);
+  touch.clear();
+  par.clear();
+
+  for (const SubWrite& w : ops) {
+    int& s = slot_of[static_cast<std::size_t>(w.logical % per)];
+    if (s < 0) {
+      s = static_cast<int>(touch.size());
+      touch.push_back({static_cast<int>(w.logical % per), bs, 0});
+    }
+    Touch& t = touch[static_cast<std::size_t>(s)];
+    const auto off = static_cast<std::size_t>(w.offset);
+    t.lo = subblock_delta_ ? std::min(t.lo, off) : 0;
+    t.hi = subblock_delta_ ? std::max(t.hi, off + w.data.size()) : bs;
+    t.whole = t.whole || w.data.size() == bs;
+    ++t.entries;
   }
-  code_->encode(v);  // regenerates every parity; zero pre-reads issued
-  std::vector<CellWrite> wr;
-  wr.reserve(static_cast<std::size_t>(rows) *
-             static_cast<std::size_t>(cols - virtual_cols_));
-  for (int c = virtual_cols_; c < cols; ++c) {
-    if (failed_.count(disk_of(c))) continue;  // regenerated at rebuild time
-    for (int r = 0; r < rows; ++r) {
-      if (kind_[static_cast<std::size_t>(r) * cols + c] ==
-          CellKind::kVirtual) {
+  const auto slot = [&](Cell c) {
+    return slot_of[static_cast<std::size_t>(
+        data_index_[static_cast<std::size_t>(flat_of(c))])];
+  };
+
+  // Parities, each once; failed ones are regenerated at rebuild time. A
+  // parity is direct when the batch covers every expanded input whole.
+  // RMW parities need the old bytes of their touched inputs, and so
+  // does every partially covered cell.
+  bool full = touch.size() == data_cells_.size();
+  for (Touch& t : touch) {
+    full = full && t.whole;
+    t.need_old = !t.whole;
+    for (Cell pc : parities_of(t.idx)) {
+      const int pf = flat_of(pc);
+      if (cell_failed(pc) || pslot[static_cast<std::size_t>(pf)] >= 0) {
         continue;
       }
-      wr.push_back({{r, c}, v.block({r, c}).data()});
-    }
-  }
-  if (obs::metrics_enabled()) {
-    std::uint64_t np = 0;
-    for (const CellWrite& cw : wr) {
-      if (kind_[static_cast<std::size_t>(flat_of(cw.cell))] !=
-          CellKind::kData) {
-        ++np;
+      pslot[static_cast<std::size_t>(pf)] = static_cast<int>(par.size());
+      bool direct = true;
+      for (Cell ic : parity_inputs(pf)) {
+        const int s = slot(ic);
+        direct = direct && s >= 0 && touch[static_cast<std::size_t>(s)].whole;
       }
-    }
-    direct_parities_.inc(np);  // encode() issues zero pre-reads
-  }
-  write_cells(stripe, wr);
-  for (std::size_t i = 0; i < data_cells_.size(); ++i) {
-    cache_fill(stripe, data_cells_[i], in.subspan(i * bs, bs));
-  }
-}
-
-void ArrayController::write_partial_stripe(std::int64_t stripe, int i0, int n,
-                                           std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  const int cols = code_->cols();
-
-  // Surviving parities touched by the range, each listed once.
-  std::vector<int> affected;  // flat parity indices
-  std::vector<char> seen(kind_.size(), 0);
-  for (int k = 0; k < n; ++k) {
-    for (Cell pc : parities_of(i0 + k)) {
-      const auto pf = static_cast<std::size_t>(flat_of(pc));
-      if (seen[pf]) continue;
-      seen[pf] = 1;
-      if (cell_failed(pc)) continue;  // regenerated at rebuild time
-      affected.push_back(static_cast<int>(pf));
+      par.push_back({pf, direct, direct ? 0 : bs, direct ? bs : 0});
     }
   }
-
-  // A parity whose whole expanded input set lies inside the range is
-  // computed directly from the new values (no pre-read of the parity or
-  // of old data); this is what makes a full row as cheap as a full
-  // stripe. Everything else is read-modify-write with the deltas of its
-  // in-range inputs coalesced, so old data values are needed only for
-  // cells feeding at least one RMW parity.
-  const auto in_range = [&](Cell c) {
-    const int idx = data_index_[static_cast<std::size_t>(flat_of(c))];
-    return idx >= i0 && idx < i0 + n;
-  };
-  std::vector<char> direct(affected.size(), 0);
-  std::vector<char> need_old(static_cast<std::size_t>(n), 0);
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    bool all = true;
-    for (Cell ic : parity_inputs(affected[a])) {
-      if (!in_range(ic)) {
-        all = false;
-        break;
-      }
-    }
-    direct[a] = all ? 1 : 0;
-    if (!all) {
-      for (Cell ic : parity_inputs(affected[a])) {
-        if (in_range(ic)) {
-          const int idx = data_index_[static_cast<std::size_t>(flat_of(ic))];
-          need_old[static_cast<std::size_t>(idx - i0)] = 1;
-        }
+  for (const Par& p : par) {
+    if (p.direct) continue;
+    for (Cell ic : parity_inputs(p.flat)) {
+      if (const int s = slot(ic); s >= 0) {
+        touch[static_cast<std::size_t>(s)].need_old = true;
       }
     }
   }
-  if (obs::metrics_enabled()) {
-    std::uint64_t nd = 0;
-    for (char dflag : direct) nd += static_cast<std::uint64_t>(dflag);
-    direct_parities_.inc(nd);
-    rmw_parities_.inc(affected.size() - nd);
-  }
 
-  // Old values of the needed cells, turned into deltas in place.
-  PooledBuffer old(static_cast<std::size_t>(n) * bs);
-  std::vector<CellFetch> want;
-  for (int k = 0; k < n; ++k) {
-    if (need_old[static_cast<std::size_t>(k)]) {
-      want.push_back({data_cells_[static_cast<std::size_t>(i0 + k)], k});
-    }
-  }
-  fetch_cells(stripe, want, old.data(), /*use_cache=*/true);
-  for (int k = 0; k < n; ++k) {
-    if (need_old[static_cast<std::size_t>(k)]) {
-      xor_into(old.data() + static_cast<std::size_t>(k) * bs,
-               in.data() + static_cast<std::size_t>(k) * bs, bs);
-    }
-  }
-
-  // New parity values: direct ones accumulate the new inputs in one
-  // pass; RMW ones pre-read once (batched per column) and fold in the
-  // coalesced deltas, so each parity block is read and written at most
-  // once for the whole range.
-  PooledBuffer pbuf(std::max<std::size_t>(1, affected.size()) * bs);
-  std::vector<CellFetch> pre;
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    if (!direct[a]) {
-      pre.push_back({cell_of_index(affected[a], cols), static_cast<int>(a)});
-    }
-  }
-  fetch_cells(stripe, pre, pbuf.data(), /*use_cache=*/false);
-  std::vector<const std::uint8_t*> srcs;
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    std::uint8_t* par = pbuf.data() + a * bs;
-    if (direct[a]) {
-      srcs.clear();
-      for (Cell ic : parity_inputs(affected[a])) {
-        const int idx = data_index_[static_cast<std::size_t>(flat_of(ic))];
-        srcs.push_back(in.data() + static_cast<std::size_t>(idx - i0) * bs);
-      }
-      xor_accumulate(par, reinterpret_cast<const void* const*>(srcs.data()),
-                     srcs.size(), bs);
+  // Read phase 1: old images (cache, then reconstruction for a failed
+  // cell, then disk), over the cell's range unless the whole block comes
+  // for free. imgs holds T old images, then T new-image slots.
+  const std::size_t T = touch.size();
+  PooledBuffer imgs(2 * T * bs);
+  std::uint8_t* const olds = imgs.data();
+  std::uint8_t* const news = imgs.data() + T * bs;
+  rd.clear();
+  for (std::size_t s = 0; s < T; ++s) {
+    Touch& t = touch[s];
+    if (!t.need_old) continue;
+    const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
+    const std::span<std::uint8_t> old{olds + s * bs, bs};
+    if (cache_ && cache_->lookup(stripe, flat_of(c), old)) {
+      t.old_full = true;
+    } else if (cell_failed(c)) {
+      reconstruct_cell(stripe, c, old);
+      t.old_full = true;
     } else {
-      for (Cell ic : parity_inputs(affected[a])) {
-        if (!in_range(ic)) continue;
-        const int idx = data_index_[static_cast<std::size_t>(flat_of(ic))];
-        xor_into(par, old.data() + static_cast<std::size_t>(idx - i0) * bs,
-                 bs);
+      rd.push_back({c, t.lo, t.hi, old.data()});
+      t.old_full = t.lo == 0 && t.hi == bs;
+    }
+  }
+  read_cells(stripe, rd);
+
+  // New images, entries applied in batch order (later entries win). A
+  // cell written by exactly one whole-block entry uses it in place.
+  for (const SubWrite& w : ops) {
+    const auto s = static_cast<std::size_t>(
+        slot_of[static_cast<std::size_t>(w.logical % per)]);
+    Touch& t = touch[s];
+    if (t.entries == 1 && t.whole) {
+      t.img = w.data.data();
+      continue;
+    }
+    if (!t.img) {
+      t.img = news + s * bs;
+      if (t.need_old) {
+        const std::size_t lo = t.old_full ? 0 : t.lo;
+        const std::size_t hi = t.old_full ? bs : t.hi;
+        std::memcpy(news + s * bs + lo, olds + s * bs + lo, hi - lo);
       }
+    }
+    std::memcpy(news + s * bs + static_cast<std::size_t>(w.offset),
+                w.data.data(), w.data.size());
+  }
+  for (std::size_t s = 0; s < T; ++s) {
+    Touch& t = touch[s];
+    t.changed = !t.need_old || std::memcmp(olds + s * bs + t.lo,
+                                           t.img + t.lo, t.hi - t.lo) != 0;
+  }
+
+  // Read phase 2: RMW parity pre-reads, still before any write. pbuf
+  // holds one block per parity, or the whole stripe for encode().
+  PooledBuffer pbuf(
+      (full ? static_cast<std::size_t>(code_->cell_count())
+            : std::max<std::size_t>(1, par.size())) *
+      bs);
+  rd.clear();
+  for (std::size_t k = 0; k < par.size(); ++k) {
+    Par& p = par[k];
+    p.img = pbuf.data() + k * bs;
+    if (p.direct) continue;
+    for (Cell ic : parity_inputs(p.flat)) {
+      const int s = slot(ic);
+      if (s < 0 || !touch[static_cast<std::size_t>(s)].changed) continue;
+      p.lo = std::min(p.lo, touch[static_cast<std::size_t>(s)].lo);
+      p.hi = std::max(p.hi, touch[static_cast<std::size_t>(s)].hi);
+    }
+    if (p.lo < p.hi) {
+      rd.push_back({cell_of_index(p.flat, cols), p.lo, p.hi,
+                    pbuf.data() + k * bs});
+    }
+  }
+  read_cells(stripe, rd);
+
+  // New parity images. A stripe covered whole is one encode(); direct
+  // parities accumulate their inputs' new images; RMW parities fold in
+  // parity ^= new ^ old over each changed input's range.
+  if (full) {
+    StripeView v(pbuf.span(), code_->rows(), cols, bs);
+    for (const Touch& t : touch) {
+      std::memcpy(v.block(data_cells_[static_cast<std::size_t>(t.idx)]).data(),
+                  t.img, bs);
+    }
+    code_->encode(v);
+    for (Par& p : par) p.img = v.block(cell_of_index(p.flat, cols)).data();
+  }
+  for (std::size_t k = 0; k < par.size() && !full; ++k) {
+    const Par& p = par[k];
+    std::uint8_t* const out = pbuf.data() + k * bs;
+    if (p.direct) {
+      srcs.clear();
+      for (Cell ic : parity_inputs(p.flat)) {
+        srcs.push_back(touch[static_cast<std::size_t>(slot(ic))].img);
+      }
+      xor_accumulate(out, reinterpret_cast<const void* const*>(srcs.data()),
+                     srcs.size(), bs);
+      continue;
+    }
+    for (Cell ic : parity_inputs(p.flat)) {
+      const int s = slot(ic);
+      if (s < 0 || !touch[static_cast<std::size_t>(s)].changed) continue;
+      const Touch& t = touch[static_cast<std::size_t>(s)];
+      xor_delta_into(out + t.lo, olds + static_cast<std::size_t>(s) * bs + t.lo,
+                     t.img + t.lo, t.hi - t.lo);
     }
   }
 
-  // One batched flush for parities and surviving data blocks alike.
-  std::vector<CellWrite> wr;
-  wr.reserve(affected.size() + static_cast<std::size_t>(n));
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    wr.push_back({cell_of_index(affected[a], cols), pbuf.data() + a * bs});
-  }
-  for (int k = 0; k < n; ++k) {
-    const Cell c = data_cells_[static_cast<std::size_t>(i0 + k)];
-    if (!cell_failed(c)) {
-      wr.push_back({c, in.data() + static_cast<std::size_t>(k) * bs});
+  // Write phase: parities and surviving changed data cells in one batch.
+  wr.clear();
+  for (const Par& p : par) {
+    if (p.lo < p.hi) {
+      wr.push_back({cell_of_index(p.flat, cols), p.lo, p.hi, p.img});
     }
   }
+  for (const Touch& t : touch) {
+    const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
+    if (t.changed && !cell_failed(c)) wr.push_back({c, t.lo, t.hi, t.img});
+  }
   write_cells(stripe, wr);
-  for (int k = 0; k < n; ++k) {
-    cache_fill(stripe, data_cells_[static_cast<std::size_t>(i0 + k)],
-               in.subspan(static_cast<std::size_t>(k) * bs, bs));
+  // Only a cell whose full new image is known may enter the cache.
+  for (const Touch& t : touch) {
+    if (t.whole || t.old_full) {
+      cache_fill(stripe, data_cells_[static_cast<std::size_t>(t.idx)],
+                 {t.img, bs});
+    }
+  }
+
+  if (obs::metrics_enabled()) {
+    (full ? full_stripe_writes_ : partial_stripe_writes_).inc();
+    std::uint64_t direct = 0, rmw = 0, delta = 0, sub = 0;
+    for (const Par& p : par) {
+      const bool r = !p.direct && p.lo < p.hi;
+      direct += p.direct;
+      rmw += r;
+      delta += r && p.hi - p.lo < bs;
+    }
+    for (const SubWrite& w : ops) sub += w.data.size() < bs;
+    direct_parities_.inc(direct);
+    rmw_parities_.inc(rmw);
+    delta_parities_.inc(delta);
+    subblock_writes_.inc(sub);
   }
 }
 
@@ -659,18 +694,6 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
 
 void ArrayController::write_range(std::int64_t logical, std::int64_t offset,
                                   std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  if (logical < 0 || logical >= logical_blocks() || offset < 0 ||
-      offset > static_cast<std::int64_t>(bs) ||
-      in.size() > bs - static_cast<std::size_t>(offset)) {
-    throw std::out_of_range("ArrayController::write_range: bad range");
-  }
-  if (in.empty()) return;  // validated no-op
-  if (offset == 0 && in.size() == bs) {
-    // Whole-block range: the per-block path, byte- and I/O-identical.
-    write(logical, in);
-    return;
-  }
   const SubWrite w{logical, offset, in};
   write_range(std::span<const SubWrite>(&w, 1));
 }
@@ -711,175 +734,12 @@ void ArrayController::write_range(std::span<const SubWrite> batch) {
     std::size_t j = i + 1;
     while (j < ops.size() && ops[j].logical / per == stripe) ++j;
     std::lock_guard sl(stripe_lock(stripe));
-    write_subblock_stripe(stripe,
-                          std::span<const SubWrite>(ops.data() + i, j - i));
+    write_stripe(stripe, std::span<const SubWrite>(ops.data() + i, j - i));
     i = j;
   }
   if (obs_on) {
     ranged_writes_.inc();
     write_latency_us_.observe(elapsed_us(t0));
-  }
-}
-
-void ArrayController::write_subblock_stripe(std::int64_t stripe,
-                                            std::span<const SubWrite> ops) {
-  const std::size_t bs = array_.block_bytes();
-  const int cols = code_->cols();
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
-  const bool obs_on = obs::metrics_enabled();
-
-  // Union byte range per touched data cell, in first-touch order.
-  struct ByteRange {
-    std::size_t lo, hi;
-  };
-  std::vector<int> touched;  // data idx within the stripe
-  std::vector<int> slot_of(data_cells_.size(), -1);
-  std::vector<ByteRange> range;
-  for (const SubWrite& w : ops) {
-    const auto idx = static_cast<int>(w.logical % per);
-    int s = slot_of[static_cast<std::size_t>(idx)];
-    if (s < 0) {
-      s = static_cast<int>(touched.size());
-      slot_of[static_cast<std::size_t>(idx)] = s;
-      touched.push_back(idx);
-      range.push_back({bs, 0});
-    }
-    auto& br = range[static_cast<std::size_t>(s)];
-    br.lo = std::min(br.lo, static_cast<std::size_t>(w.offset));
-    br.hi = std::max(br.hi, static_cast<std::size_t>(w.offset) + w.data.size());
-  }
-
-  // Promotion: a range covering >= pct% of the block is widened to the
-  // whole block (with the plane disabled, everything is — that is the
-  // whole-block RMW fallback).
-  const int pct = subblock_delta_ ? subblock_promote_pct_ : 0;
-  std::uint64_t promoted = 0;
-  for (ByteRange& br : range) {
-    if ((br.hi - br.lo) * 100 >= static_cast<std::size_t>(pct) * bs) {
-      if (br.lo != 0 || br.hi != bs) ++promoted;
-      br.lo = 0;
-      br.hi = bs;
-    }
-  }
-
-  // Old and new images of every touched cell. The old image is read
-  // over just the union range unless the full block is available for
-  // free (cache hit) or required anyway (failed cell reconstruction is
-  // whole-block by nature; promoted ranges are the whole block).
-  const std::size_t T = touched.size();
-  PooledBuffer olds(T * bs), news(T * bs);
-  std::vector<char> have_full(T, 0), skip(T, 0);
-  for (std::size_t t = 0; t < T; ++t) {
-    const Cell c = data_cells_[static_cast<std::size_t>(touched[t])];
-    const auto oldb = olds.block(t, bs);
-    const ByteRange br = range[t];
-    if (cache_ && cache_->lookup(stripe, flat_of(c), oldb)) {
-      have_full[t] = 1;
-    } else if (cell_failed(c)) {
-      reconstruct_cell(stripe, c, oldb);
-      have_full[t] = 1;
-    } else {
-      const IoResult r = read_range_retry(
-          array_, disk_of(c.col), block_of(stripe, c.row), br.lo,
-          oldb.subspan(br.lo, br.hi - br.lo), RetryPolicy{}, nullptr);
-      if (!r.ok()) throw_io("range read failed", r);
-      have_full[t] = br.lo == 0 && br.hi == bs;
-    }
-    const std::size_t lo = have_full[t] ? 0 : br.lo;
-    const std::size_t hi = have_full[t] ? bs : br.hi;
-    std::memcpy(news.data() + t * bs + lo, olds.data() + t * bs + lo,
-                hi - lo);
-  }
-  for (const SubWrite& w : ops) {
-    const auto idx = static_cast<int>(w.logical % per);
-    const auto t = static_cast<std::size_t>(
-        slot_of[static_cast<std::size_t>(idx)]);
-    std::memcpy(news.data() + t * bs + static_cast<std::size_t>(w.offset),
-                w.data.data(), w.data.size());
-  }
-  for (std::size_t t = 0; t < T; ++t) {
-    skip[t] = std::memcmp(olds.data() + t * bs + range[t].lo,
-                          news.data() + t * bs + range[t].lo,
-                          range[t].hi - range[t].lo) == 0
-                  ? 1
-                  : 0;  // idempotent sub-write: no deltas, no disk I/O
-  }
-
-  // Coalesce contributors per surviving parity: each affected parity
-  // block is read over the union of its contributors' ranges, delta-
-  // updated in one pass per contributor (parity ^= new ^ old), and
-  // written back — at most one ranged RMW per parity per batch.
-  std::vector<int> parities;  // flat parity indices
-  std::vector<int> pslot(kind_.size(), -1);
-  std::vector<ByteRange> prange;
-  std::vector<std::vector<std::size_t>> contributors;
-  for (std::size_t t = 0; t < T; ++t) {
-    if (skip[t]) continue;
-    for (Cell pc : parities_of(touched[t])) {
-      if (cell_failed(pc)) continue;  // regenerated at rebuild time
-      const auto pf = static_cast<std::size_t>(flat_of(pc));
-      int s = pslot[pf];
-      if (s < 0) {
-        s = static_cast<int>(parities.size());
-        pslot[pf] = s;
-        parities.push_back(static_cast<int>(pf));
-        prange.push_back({bs, 0});
-        contributors.emplace_back();
-      }
-      auto& pr = prange[static_cast<std::size_t>(s)];
-      pr.lo = std::min(pr.lo, range[t].lo);
-      pr.hi = std::max(pr.hi, range[t].hi);
-      contributors[static_cast<std::size_t>(s)].push_back(t);
-    }
-  }
-  if (obs_on) {
-    subblock_writes_.inc(ops.size());
-    delta_parities_.inc(parities.size());
-    if (promoted) subblock_promotions_.inc(promoted);
-  }
-
-  PooledBuffer pbuf(std::max<std::size_t>(1, parities.size()) * bs);
-  for (std::size_t p = 0; p < parities.size(); ++p) {
-    const Cell pc = cell_of_index(parities[p], cols);
-    const int d = disk_of(pc.col);
-    const std::int64_t b = block_of(stripe, pc.row);
-    const ByteRange pr = prange[p];
-    std::uint8_t* par = pbuf.data() + p * bs;
-    const IoResult r = read_range_retry(
-        array_, d, b, pr.lo, {par + pr.lo, pr.hi - pr.lo}, RetryPolicy{},
-        nullptr);
-    if (!r.ok()) throw_io("parity range read failed", r);
-    for (const std::size_t t : contributors[p]) {
-      const ByteRange br = range[t];
-      xor_delta_into(par + br.lo, olds.data() + t * bs + br.lo,
-                     news.data() + t * bs + br.lo, br.hi - br.lo);
-    }
-    // Write failures mirror write_cells: a torn range is repaired by
-    // the retry's rewrite; a disk that died mid-batch is left to the
-    // failure machinery (fail_disk/rebuild), not reported here.
-    write_range_retry(array_, d, b, pr.lo, {par + pr.lo, pr.hi - pr.lo},
-                      RetryPolicy{}, nullptr);
-  }
-
-  for (std::size_t t = 0; t < T; ++t) {
-    if (skip[t]) continue;
-    const Cell c = data_cells_[static_cast<std::size_t>(touched[t])];
-    const ByteRange br = range[t];
-    if (!cell_failed(c)) {
-      write_range_retry(array_, disk_of(c.col), block_of(stripe, c.row),
-                        br.lo,
-                        {news.data() + t * bs + br.lo, br.hi - br.lo},
-                        RetryPolicy{}, nullptr);
-    }
-  }
-  // Write-through cache merge: only a cell whose full new value is known
-  // may enter the cache — a partial image must never be inserted. An
-  // already-cached block was the old-value source (full), so it is
-  // updated; an uncached partial write stays uncached.
-  for (std::size_t t = 0; t < T; ++t) {
-    if (!have_full[t]) continue;
-    cache_fill(stripe, data_cells_[static_cast<std::size_t>(touched[t])],
-               news.block(t, bs));
   }
 }
 
@@ -911,11 +771,10 @@ StripeCache::Stats ArrayController::cache_stats() const {
 }
 
 ArrayController::PlannerCounters ArrayController::planner_counters() const {
-  return {ranged_reads_.value(),        ranged_writes_.value(),
-          full_stripe_writes_.value(),  partial_stripe_writes_.value(),
-          direct_parities_.value(),     rmw_parities_.value(),
-          subblock_writes_.value(),     delta_parities_.value(),
-          subblock_promotions_.value()};
+  return {ranged_reads_.value(),       ranged_writes_.value(),
+          full_stripe_writes_.value(), partial_stripe_writes_.value(),
+          direct_parities_.value(),    rmw_parities_.value(),
+          subblock_writes_.value(),    delta_parities_.value()};
 }
 
 void ArrayController::attach_metrics(obs::Registry& registry,
@@ -937,8 +796,6 @@ void ArrayController::attach_metrics(obs::Registry& registry,
     c.counter(prefix + "_rmw_parities" + lb, rmw_parities_.value());
     c.counter(prefix + "_subblock_writes" + lb, subblock_writes_.value());
     c.counter(prefix + "_delta_parities" + lb, delta_parities_.value());
-    c.counter(prefix + "_subblock_promotions" + lb,
-              subblock_promotions_.value());
     if (lb.empty()) {
       c.histogram(prefix + "_read_latency_us", read_latency_us_.snapshot());
       c.histogram(prefix + "_write_latency_us", write_latency_us_.snapshot());
@@ -1018,7 +875,7 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
       }
       const auto dst = colbuf.block(static_cast<std::size_t>(r), bs);
       reconstruct_cell(s, c, dst);
-      wr.push_back({c, dst.data()});
+      wr.push_back({c, 0, bs, dst.data()});
       ++rebuilt;
     }
     write_cells(s, wr);

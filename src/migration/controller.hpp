@@ -14,34 +14,30 @@
 // columns, which have no physical disk); logical data blocks enumerate
 // the code's data cells stripe by stripe in row-major order.
 //
-// Three I/O paths exist side by side:
-//   * the per-block read(l, out)/write(l, in) pair — one block, one
-//     read-modify-write per affected parity (Table III's metric);
-//   * the ranged read(l, count, out)/write(l, count, in) pair — the
-//     batched stripe-aware planner. Requests are grouped by stripe; a
-//     write covering every data cell of a stripe regenerates parity
-//     with encode() and issues no pre-reads at all; a partial-stripe
-//     write coalesces the parity deltas of all its blocks so each
-//     parity block is read and written at most once per stripe, and a
-//     parity whose full input set is in the batch is computed directly
-//     (no pre-read). Disk I/O is issued through the vectored
-//     DiskArray::read_blocks/write_blocks, one run per per-column
-//     stretch. Both paths leave byte-identical array contents on
-//     parity-consistent stripes (which a zeroed array already is, and
-//     which every path here maintains).
-//   * the sub-block write_range(l, off, in) path (single and batched) —
-//     the delta write plane. Every code in the zoo XORs parity
-//     bytewise, so a data byte at intra-block offset o feeds each of
-//     its parities at the same offset o; a sub-block write therefore
-//     only needs to move the touched byte range: read the old range,
-//     apply parity ^= new ^ old over that range (xor_delta kernels),
-//     and write the range back — data and every covering parity,
-//     horizontal and diagonal alike, via DiskArray range I/O. A batch
-//     coalesces deltas per parity block (one ranged read-modify-write
-//     per parity per stripe). Writes covering the whole block — or at
-//     least C56_SUBBLOCK_PROMOTE_PCT percent of it — are promoted to
-//     whole-block semantics, and write_range(l, 0, full_block) is
-//     byte- and I/O-count-identical to write(l, full_block).
+// Every write — write(l, in), write(l, count, in), write_range(l, off,
+// in) and the batched write_range — is one call per stripe to a single
+// planner, write_stripe, under the stripe lock. It applies Table III's
+// rule (one read-modify-write per parity a block feeds) with every
+// saving the batch allows:
+//   * Ranges. Every code in the zoo XORs parity bytewise, so a byte at
+//     offset o feeds its parities at offset o only. A touched cell moves
+//     the hull of its entries' ranges (entries apply in batch order,
+//     later ones win); set_subblock_delta(false) widens it to the block.
+//   * Direct parities. A parity whose expanded inputs are all covered
+//     whole-block is recomputed from new data, with no pre-read of it
+//     or of old data feeding only direct parities. A stripe covered
+//     whole is one encode().
+//   * RMW parities. Every other surviving parity is read once over the
+//     union of its changed inputs' ranges, updated with
+//     parity ^= new ^ old, and written once. A cell whose bytes do not
+//     change is skipped.
+//   * Two-phase I/O. All reads (old images from the cache, by
+//     reconstruction, or from disk; then parity pre-reads) are retried
+//     and happen before any write, so a failed read leaves the stripe
+//     untouched. Whole-block accesses on consecutive rows of a column
+//     are one vectored run, partial ones range I/O. Torn writes are
+//     retried; a disk that dies mid-batch is left to fail_disk/rebuild.
+// Parities on failed disks are skipped (rebuild regenerates them).
 //
 // An optional write-through stripe cache (set_cache_stripes() or
 // C56_CACHE_STRIPES, default off) caches *data* cells at their current
@@ -83,21 +79,18 @@ class ArrayController {
   void read(std::int64_t logical, std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::span<const std::uint8_t> in);
 
-  /// Ranged data-block I/O over [logical, logical + count): the batched
-  /// stripe-aware path (see header comment). The buffer holds count
-  /// consecutive logical blocks.
+  /// Ranged data-block I/O over [logical, logical + count); the buffer
+  /// holds count consecutive logical blocks.
   void read(std::int64_t logical, std::int64_t count,
             std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::int64_t count,
              std::span<const std::uint8_t> in);
 
-  /// Sub-block I/O (the delta write plane, see header comment).
-  /// write_range replaces bytes [offset, offset + in.size()) of logical
-  /// block `logical`, XOR-delta-updating only that byte range of every
-  /// surviving parity the cell feeds. A zero-length range is a
-  /// validated no-op; offset/len outside the block throw out_of_range.
-  /// A full-block range takes the whole-block path and is byte- and
-  /// I/O-count-identical to write(logical, in).
+  /// Sub-block I/O: write_range replaces bytes [offset, offset +
+  /// in.size()) of logical block `logical`, moving only that byte range
+  /// of the block and of every surviving parity it feeds. A zero-length
+  /// range is a validated no-op; offset/len outside the block throw
+  /// out_of_range. A full-block range is write(logical, in).
   void write_range(std::int64_t logical, std::int64_t offset,
                    std::span<const std::uint8_t> in);
   void read_range(std::int64_t logical, std::int64_t offset,
@@ -110,22 +103,15 @@ class ArrayController {
   };
   /// Batched sub-block writes. Entries are validated up front, grouped
   /// by stripe, and applied in batch order within each stripe (later
-  /// entries win on overlap). Per stripe, the per-cell byte ranges are
-  /// unioned and the parity deltas of all touched cells are coalesced,
-  /// so each affected parity block is read and written at most once
-  /// per batch regardless of how many sub-writes feed it.
+  /// entries win on overlap), so each affected parity block is read and
+  /// written at most once per batch however many entries feed it.
   void write_range(std::span<const SubWrite> batch);
 
-  /// Delta-plane control (defaults: enabled, promote at 100%; the
-  /// C56_SUBBLOCK / C56_SUBBLOCK_PROMOTE_PCT environment knobs set
-  /// these at construction time). Disabling routes every sub-block
-  /// write through whole-block read-modify-write; the promotion
-  /// threshold widens ranges covering >= pct% of a block to the whole
-  /// block.
+  /// Delta-plane switch (default on; the C56_SUBBLOCK environment knob
+  /// sets it at construction time). Off widens every write range to the
+  /// whole block: the whole-block read-modify-write baseline.
   void set_subblock_delta(bool on) { subblock_delta_ = on; }
   bool subblock_delta() const { return subblock_delta_; }
-  void set_subblock_promote_pct(int pct);
-  int subblock_promote_pct() const { return subblock_promote_pct_; }
 
   /// Stripe cache control. n == 0 disables (the default, unless the
   /// C56_CACHE_STRIPES environment variable set a size at construction
@@ -146,21 +132,23 @@ class ArrayController {
   /// Zeroed stats when the cache is disabled.
   StripeCache::Stats cache_stats() const;
 
-  /// Ranged-planner decision counters, maintained only while
-  /// obs::metrics_enabled() — they are the observability view of the
-  /// batched path (full-stripe fast paths taken, parities computed
-  /// directly with no pre-read, parities that paid a read-modify-write).
+  /// Write-planner decision counters, maintained only while
+  /// obs::metrics_enabled(). Per stripe write: full_stripe_writes when
+  /// the batch covers every data cell whole (one encode()), else
+  /// partial_stripe_writes. Per parity: direct_parities (recomputed, no
+  /// pre-read) or rmw_parities (read-modify-written); delta_parities is
+  /// the part of rmw_parities updated over less than a whole block.
+  /// subblock_writes counts entries shorter than a block. ranged_reads
+  /// and ranged_writes count ranged and batched calls.
   struct PlannerCounters {
     std::uint64_t ranged_reads = 0;
     std::uint64_t ranged_writes = 0;
     std::uint64_t full_stripe_writes = 0;
     std::uint64_t partial_stripe_writes = 0;
-    std::uint64_t direct_parities = 0;  // pre-reads avoided
+    std::uint64_t direct_parities = 0;
     std::uint64_t rmw_parities = 0;
-    // Delta write plane.
-    std::uint64_t subblock_writes = 0;      // sub-writes processed
-    std::uint64_t delta_parities = 0;       // parities updated by range RMW
-    std::uint64_t subblock_promotions = 0;  // cells widened to whole-block
+    std::uint64_t subblock_writes = 0;
+    std::uint64_t delta_parities = 0;
   };
   PlannerCounters planner_counters() const;
 
@@ -243,34 +231,30 @@ class ArrayController {
   void reconstruct_cell(std::int64_t stripe, Cell c,
                         std::span<std::uint8_t> out);
   void invalidate_recovery_state();  // recipes + cache
-  // Batched-path stages (one stripe each; i0/n index the stripe's data
-  // cells in logical order).
   void read_run(std::int64_t stripe, int i0, int n,
                 std::span<std::uint8_t> out);
-  void write_full_stripe(std::int64_t stripe,
-                         std::span<const std::uint8_t> in);
-  void write_partial_stripe(std::int64_t stripe, int i0, int n,
-                            std::span<const std::uint8_t> in);
-  // Delta-plane stage: sub-writes of one stripe, already validated, in
-  // batch order, applied under the stripe lock.
-  void write_subblock_stripe(std::int64_t stripe,
-                             std::span<const SubWrite> ops);
-  // Vectored cell I/O: both group the requested cells into per-column
-  // runs of consecutive rows and issue one DiskArray batch per run.
-  struct CellFetch {
+  /// The write planner (see header comment): applies `ops` — validated,
+  /// non-empty, all in `stripe`, in batch order — under the caller's
+  /// stripe lock.
+  void write_stripe(std::int64_t stripe, std::span<const SubWrite> ops);
+  /// Bytes [lo, hi) of one cell of a stripe, moved to or from
+  /// block + lo (`block` addresses the whole block).
+  template <class Byte>
+  struct CellIo {
     Cell cell;
-    int dst;  // block index inside the destination buffer
+    std::size_t lo, hi;
+    Byte* block;
   };
-  /// Current logical values of the given cells (cache, then batched
-  /// disk reads, reconstructing failed cells). use_cache=false for
-  /// parity cells, which must never enter the data-cell cache.
-  void fetch_cells(std::int64_t stripe, std::span<const CellFetch> want,
-                   std::uint8_t* dst_blocks, bool use_cache);
-  struct CellWrite {
-    Cell cell;
-    const std::uint8_t* src;  // one block
-  };
-  void write_cells(std::int64_t stripe, std::span<const CellWrite> want);
+  using CellRead = CellIo<std::uint8_t>;
+  using CellWrite = CellIo<const std::uint8_t>;
+  /// Counted, retried transfers; both sort `io` and send whole-block
+  /// entries on consecutive rows of one column as one vectored run,
+  /// everything else as range I/O. read_cells throws on a failed read.
+  /// write_cells retries torn writes, leaves a disk that died mid-batch
+  /// to fail_disk/rebuild_disk, and throws on any other failure after
+  /// issuing the whole batch.
+  void read_cells(std::int64_t stripe, std::vector<CellRead>& io);
+  void write_cells(std::int64_t stripe, std::vector<CellWrite>& io);
   void cache_fill(std::int64_t stripe, Cell c,
                   std::span<const std::uint8_t> v) {
     if (cache_) cache_->fill(stripe, flat_of(c), v);
@@ -311,9 +295,8 @@ class ArrayController {
   std::size_t cache_stripes_ = 0;
   int cache_shards_ = 8;  // StripeCache's historical default
 
-  // Delta write plane configuration (see set_subblock_delta).
+  // Delta write plane switch (see set_subblock_delta).
   bool subblock_delta_ = true;
-  int subblock_promote_pct_ = 100;
 
   // Observability (updated only under obs::metrics_enabled()).
   obs::Counter ranged_reads_;
@@ -324,7 +307,6 @@ class ArrayController {
   obs::Counter rmw_parities_;
   obs::Counter subblock_writes_;
   obs::Counter delta_parities_;
-  obs::Counter subblock_promotions_;
   obs::Histogram read_latency_us_;
   obs::Histogram write_latency_us_;
   // Declared last so the collector detaches before anything it reads.

@@ -419,12 +419,6 @@ TEST(SubBlockPlane, RangeEdgeCases) {
   EXPECT_EQ(array.total_reads(), r1);
   EXPECT_EQ(array.total_writes(), w1);
   EXPECT_TRUE(ctrl.scrub().empty());
-
-  // The promotion knob validates its domain.
-  EXPECT_THROW(ctrl.set_subblock_promote_pct(0), std::invalid_argument);
-  EXPECT_THROW(ctrl.set_subblock_promote_pct(101), std::invalid_argument);
-  ctrl.set_subblock_promote_pct(1);
-  ctrl.set_subblock_promote_pct(100);
 }
 
 /// DiskArray range primitives: a range access counts like one block

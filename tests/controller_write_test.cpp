@@ -1,0 +1,432 @@
+// The controller's write path, pinned from the outside: the exact disk
+// traffic of every write shape on every code in the zoo (healthy and
+// degraded), plus the fault cases a write must survive without leaving
+// a stripe inconsistent — a failed parity pre-read, a failed parity
+// range read in the middle of a sub-block write, and torn writes.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <vector>
+
+#include "codes/registry.hpp"
+#include "migration/controller.hpp"
+#include "migration/fault.hpp"
+#include "util/rng.hpp"
+
+namespace c56::mig {
+namespace {
+
+enum class State { kHealthy, kDataFailed, kParityFailed };
+enum class Shape {
+  kBlock,              // write(l, in)
+  kIdempotentBlock,    // write(l, in) with the block's current bytes
+  kRow,                // write(l, count) over every data cell of a row
+  kFullStripe,         // write(l, count) over one whole stripe
+  kSubWrite,           // write_range(l, 256, <512 B>)
+  kSharedParityBatch,  // two overlapping-offset sub-writes, one parity
+  kFullBlockRange,     // write_range(l, 0, <block>)
+};
+
+struct IoShape {
+  std::uint64_t reads, writes, read_bytes, write_bytes, runs;
+};
+
+struct Pin {
+  CodeId id;
+  State state;
+  Shape shape;
+  IoShape io;
+};
+
+constexpr std::size_t kPinBlock = 1024;
+
+// Disk traffic of one write on a prefilled two-stripe array, p = 5. The
+// target is the first data block of stripe 1; the failed data disk is
+// the target's, the failed parity disk holds a parity it feeds. Runs
+// may only ever go down (a better planner batches more); every other
+// number is exact.
+using enum CodeId;
+using enum State;
+using enum Shape;
+const Pin kPins[] = {
+    {kEvenOdd, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
+    {kEvenOdd, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kEvenOdd, kHealthy, kRow, {9, 10, 9216, 10240, 13}},
+    {kEvenOdd, kHealthy, kFullStripe, {0, 28, 0, 28672, 7}},
+    {kEvenOdd, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kEvenOdd, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
+    {kEvenOdd, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kEvenOdd, kDataFailed, kBlock, {7, 2, 7168, 2048, 9}},
+    {kEvenOdd, kDataFailed, kIdempotentBlock, {5, 0, 5120, 0, 5}},
+    {kEvenOdd, kDataFailed, kRow, {13, 9, 13312, 9216, 16}},
+    {kEvenOdd, kDataFailed, kFullStripe, {0, 24, 0, 24576, 6}},
+    {kEvenOdd, kDataFailed, kSubWrite, {7, 2, 6144, 1024, 9}},
+    {kEvenOdd, kDataFailed, kSharedParityBatch, {9, 4, 6784, 1664, 13}},
+    {kEvenOdd, kDataFailed, kFullBlockRange, {7, 2, 7168, 2048, 9}},
+    {kEvenOdd, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
+    {kEvenOdd, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kEvenOdd, kParityFailed, kRow, {9, 9, 9216, 9216, 12}},
+    {kEvenOdd, kParityFailed, kFullStripe, {0, 24, 0, 24576, 6}},
+    {kEvenOdd, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
+    {kEvenOdd, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
+    {kEvenOdd, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kRdp, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
+    {kRdp, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kRdp, kHealthy, kRow, {8, 9, 8192, 9216, 11}},
+    {kRdp, kHealthy, kFullStripe, {0, 24, 0, 24576, 6}},
+    {kRdp, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kRdp, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
+    {kRdp, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kRdp, kDataFailed, kBlock, {6, 2, 6144, 2048, 8}},
+    {kRdp, kDataFailed, kIdempotentBlock, {4, 0, 4096, 0, 4}},
+    {kRdp, kDataFailed, kRow, {11, 8, 11264, 8192, 13}},
+    {kRdp, kDataFailed, kFullStripe, {0, 20, 0, 20480, 5}},
+    {kRdp, kDataFailed, kSubWrite, {6, 2, 5120, 1024, 8}},
+    {kRdp, kDataFailed, kSharedParityBatch, {8, 4, 5760, 1664, 12}},
+    {kRdp, kDataFailed, kFullBlockRange, {6, 2, 6144, 2048, 8}},
+    {kRdp, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
+    {kRdp, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kRdp, kParityFailed, kRow, {8, 8, 8192, 8192, 10}},
+    {kRdp, kParityFailed, kFullStripe, {0, 20, 0, 20480, 5}},
+    {kRdp, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
+    {kRdp, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
+    {kRdp, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kHCode, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
+    {kHCode, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kHCode, kHealthy, kRow, {8, 9, 8192, 9216, 16}},
+    {kHCode, kHealthy, kFullStripe, {0, 24, 0, 24576, 6}},
+    {kHCode, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kHCode, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
+    {kHCode, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kHCode, kDataFailed, kBlock, {6, 2, 6144, 2048, 8}},
+    {kHCode, kDataFailed, kIdempotentBlock, {4, 0, 4096, 0, 4}},
+    {kHCode, kDataFailed, kRow, {11, 8, 11264, 8192, 18}},
+    {kHCode, kDataFailed, kFullStripe, {0, 20, 0, 20480, 5}},
+    {kHCode, kDataFailed, kSubWrite, {6, 2, 5120, 1024, 8}},
+    {kHCode, kDataFailed, kSharedParityBatch, {8, 4, 5760, 1664, 12}},
+    {kHCode, kDataFailed, kFullBlockRange, {6, 2, 6144, 2048, 8}},
+    {kHCode, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
+    {kHCode, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kHCode, kParityFailed, kRow, {8, 8, 8192, 8192, 15}},
+    {kHCode, kParityFailed, kFullStripe, {0, 20, 0, 20480, 5}},
+    {kHCode, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
+    {kHCode, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
+    {kHCode, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kXCode, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
+    {kXCode, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kXCode, kHealthy, kRow, {15, 15, 15360, 15360, 20}},
+    {kXCode, kHealthy, kFullStripe, {0, 25, 0, 25600, 5}},
+    {kXCode, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kXCode, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
+    {kXCode, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kXCode, kDataFailed, kBlock, {5, 2, 5120, 2048, 7}},
+    {kXCode, kDataFailed, kIdempotentBlock, {3, 0, 3072, 0, 3}},
+    {kXCode, kDataFailed, kRow, {15, 12, 15360, 12288, 19}},
+    {kXCode, kDataFailed, kFullStripe, {0, 20, 0, 20480, 4}},
+    {kXCode, kDataFailed, kSubWrite, {5, 2, 4096, 1024, 7}},
+    {kXCode, kDataFailed, kSharedParityBatch, {7, 4, 4736, 1664, 11}},
+    {kXCode, kDataFailed, kFullBlockRange, {5, 2, 5120, 2048, 7}},
+    {kXCode, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
+    {kXCode, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kXCode, kParityFailed, kRow, {15, 12, 15360, 12288, 19}},
+    {kXCode, kParityFailed, kFullStripe, {0, 20, 0, 20480, 4}},
+    {kXCode, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
+    {kXCode, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
+    {kXCode, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kPCode, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
+    {kPCode, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kPCode, kHealthy, kRow, {0, 0, 0, 0, 0}},
+    {kPCode, kHealthy, kFullStripe, {0, 8, 0, 8192, 4}},
+    {kPCode, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kPCode, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
+    {kPCode, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kPCode, kDataFailed, kBlock, {4, 2, 4096, 2048, 6}},
+    {kPCode, kDataFailed, kIdempotentBlock, {2, 0, 2048, 0, 2}},
+    {kPCode, kDataFailed, kRow, {0, 0, 0, 0, 0}},
+    {kPCode, kDataFailed, kFullStripe, {0, 6, 0, 6144, 3}},
+    {kPCode, kDataFailed, kSubWrite, {4, 2, 3072, 1024, 6}},
+    {kPCode, kDataFailed, kSharedParityBatch, {5, 3, 3456, 1408, 8}},
+    {kPCode, kDataFailed, kFullBlockRange, {4, 2, 4096, 2048, 6}},
+    {kPCode, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
+    {kPCode, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kPCode, kParityFailed, kRow, {0, 0, 0, 0, 0}},
+    {kPCode, kParityFailed, kFullStripe, {0, 6, 0, 6144, 3}},
+    {kPCode, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
+    {kPCode, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
+    {kPCode, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kHdp, kHealthy, kBlock, {4, 4, 4096, 4096, 8}},
+    {kHdp, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kHdp, kHealthy, kRow, {7, 7, 7168, 7168, 12}},
+    {kHdp, kHealthy, kFullStripe, {0, 16, 0, 16384, 4}},
+    {kHdp, kHealthy, kSubWrite, {4, 4, 2048, 2048, 8}},
+    {kHdp, kHealthy, kSharedParityBatch, {6, 6, 2816, 2816, 12}},
+    {kHdp, kHealthy, kFullBlockRange, {4, 4, 4096, 4096, 8}},
+    {kHdp, kDataFailed, kBlock, {4, 2, 4096, 2048, 6}},
+    {kHdp, kDataFailed, kIdempotentBlock, {2, 0, 2048, 0, 2}},
+    {kHdp, kDataFailed, kRow, {7, 5, 7168, 5120, 11}},
+    {kHdp, kDataFailed, kFullStripe, {0, 12, 0, 12288, 3}},
+    {kHdp, kDataFailed, kSubWrite, {4, 2, 3072, 1024, 6}},
+    {kHdp, kDataFailed, kSharedParityBatch, {6, 4, 3712, 1664, 10}},
+    {kHdp, kDataFailed, kFullBlockRange, {4, 2, 4096, 2048, 6}},
+    {kHdp, kParityFailed, kBlock, {3, 3, 3072, 3072, 6}},
+    {kHdp, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kHdp, kParityFailed, kRow, {7, 5, 7168, 5120, 11}},
+    {kHdp, kParityFailed, kFullStripe, {0, 12, 0, 12288, 3}},
+    {kHdp, kParityFailed, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kHdp, kParityFailed, kSharedParityBatch, {4, 4, 1920, 1920, 8}},
+    {kHdp, kParityFailed, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kCode56, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
+    {kCode56, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kCode56, kHealthy, kRow, {6, 7, 6144, 7168, 9}},
+    {kCode56, kHealthy, kFullStripe, {0, 20, 0, 20480, 5}},
+    {kCode56, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
+    {kCode56, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
+    {kCode56, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kCode56, kDataFailed, kBlock, {5, 2, 5120, 2048, 7}},
+    {kCode56, kDataFailed, kIdempotentBlock, {3, 0, 3072, 0, 3}},
+    {kCode56, kDataFailed, kRow, {8, 6, 8192, 6144, 10}},
+    {kCode56, kDataFailed, kFullStripe, {0, 16, 0, 16384, 4}},
+    {kCode56, kDataFailed, kSubWrite, {5, 2, 4096, 1024, 7}},
+    {kCode56, kDataFailed, kSharedParityBatch, {7, 4, 4736, 1664, 11}},
+    {kCode56, kDataFailed, kFullBlockRange, {5, 2, 5120, 2048, 7}},
+    {kCode56, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
+    {kCode56, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
+    {kCode56, kParityFailed, kRow, {6, 6, 6144, 6144, 8}},
+    {kCode56, kParityFailed, kFullStripe, {0, 16, 0, 16384, 4}},
+    {kCode56, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
+    {kCode56, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
+    {kCode56, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+};
+
+const char* name(State s) {
+  switch (s) {
+    case State::kHealthy: return "kHealthy";
+    case State::kDataFailed: return "kDataFailed";
+    case State::kParityFailed: return "kParityFailed";
+  }
+  return "?";
+}
+
+const char* name(Shape s) {
+  switch (s) {
+    case Shape::kBlock: return "kBlock";
+    case Shape::kIdempotentBlock: return "kIdempotentBlock";
+    case Shape::kRow: return "kRow";
+    case Shape::kFullStripe: return "kFullStripe";
+    case Shape::kSubWrite: return "kSubWrite";
+    case Shape::kSharedParityBatch: return "kSharedParityBatch";
+    case Shape::kFullBlockRange: return "kFullBlockRange";
+  }
+  return "?";
+}
+
+IoShape totals(const DiskArray& a) {
+  return {a.total_reads(), a.total_writes(), a.total_read_bytes(),
+          a.total_write_bytes(), a.total_read_runs() + a.total_write_runs()};
+}
+
+/// Runs one pinned write and returns the traffic it caused.
+IoShape measure(CodeId id, State state, Shape shape) {
+  auto code = make_code(id, 5);
+  const ErasureCode& c = *code;
+  // Data cells in logical (row-major) order, as the controller numbers
+  // them.
+  std::vector<Cell> data;
+  int row0 = 0;
+  for (int r = 0; r < c.rows(); ++r) {
+    for (int col = 0; col < c.cols(); ++col) {
+      if (c.kind({r, col}) != CellKind::kData) continue;
+      data.push_back({r, col});
+      if (r == 0) ++row0;
+    }
+  }
+  const auto logical_of = [&](Cell x) {
+    return static_cast<std::int64_t>(
+        std::find(data.begin(), data.end(), x) - data.begin());
+  };
+  const Cell target = data[0];
+  const ParityChain* chain = nullptr;
+  for (const ParityChain& ch : c.expanded_chains()) {
+    if (ch.inputs.size() >= 2 &&
+        std::find(ch.inputs.begin(), ch.inputs.end(), target) !=
+            ch.inputs.end()) {
+      chain = &ch;
+      break;
+    }
+  }
+  if (chain == nullptr) {
+    ADD_FAILURE() << "no two-input parity chain feeds the target";
+    return {};
+  }
+  const Cell partner =
+      chain->inputs[0] == target ? chain->inputs[1] : chain->inputs[0];
+
+  const auto per = static_cast<std::int64_t>(data.size());
+  DiskArray array(c.cols(), 2LL * c.rows(), kPinBlock);
+  ArrayController ctrl(array, std::move(code));
+  Rng rng(0x9147);
+  Buffer fill(static_cast<std::size_t>(2 * per) * kPinBlock);
+  rng.fill(fill.data(), fill.size());
+  ctrl.write(0, 2 * per, fill.span());
+  if (state == State::kDataFailed) ctrl.fail_disk(target.col);
+  if (state == State::kParityFailed) ctrl.fail_disk(chain->parity.col);
+
+  const std::int64_t base = per;  // stripe 1, first data block
+  Buffer in(static_cast<std::size_t>(per) * kPinBlock);
+  rng.fill(in.data(), in.size());
+  if (shape == Shape::kIdempotentBlock) {
+    ctrl.read(base, in.span().subspan(0, kPinBlock));
+  }
+  const IoShape before = totals(array);
+  switch (shape) {
+    case Shape::kBlock:
+    case Shape::kIdempotentBlock:
+      ctrl.write(base, in.span().subspan(0, kPinBlock));
+      break;
+    case Shape::kRow:
+      ctrl.write(base, row0, in.span().subspan(0, row0 * kPinBlock));
+      break;
+    case Shape::kFullStripe:
+      ctrl.write(base, per, in.span());
+      break;
+    case Shape::kSubWrite:
+      ctrl.write_range(base, 256, in.span().subspan(0, 512));
+      break;
+    case Shape::kSharedParityBatch: {
+      const ArrayController::SubWrite batch[] = {
+          {base, 256, in.span().subspan(0, 512)},
+          {base + logical_of(partner), 128, in.span().subspan(512, 256)},
+      };
+      ctrl.write_range(batch);
+      break;
+    }
+    case Shape::kFullBlockRange:
+      ctrl.write_range(base, 0, in.span().subspan(0, kPinBlock));
+      break;
+  }
+  const IoShape after = totals(array);
+  if (state == State::kHealthy) {
+    EXPECT_TRUE(ctrl.scrub().empty());
+  }
+  return {after.reads - before.reads, after.writes - before.writes,
+          after.read_bytes - before.read_bytes,
+          after.write_bytes - before.write_bytes, after.runs - before.runs};
+}
+
+TEST(WriteIoPins, EveryShapeOnEveryCode) {
+  std::size_t checked = 0;
+  for (CodeId id : all_code_ids()) {
+    for (State state :
+         {State::kHealthy, State::kDataFailed, State::kParityFailed}) {
+      for (Shape shape :
+           {Shape::kBlock, Shape::kIdempotentBlock, Shape::kRow,
+            Shape::kFullStripe, Shape::kSubWrite, Shape::kSharedParityBatch,
+            Shape::kFullBlockRange}) {
+        const IoShape got = measure(id, state, shape);
+        const auto it = std::find_if(
+            std::begin(kPins), std::end(kPins), [&](const Pin& p) {
+              return p.id == id && p.state == state && p.shape == shape;
+            });
+        const std::string where = std::string(to_string(id)) + " " +
+                                  name(state) + " " + name(shape);
+        if (it == std::end(kPins)) {
+          ADD_FAILURE() << "no pin for " << where;
+          std::printf("    {CodeId::k?, State::%s, Shape::%s, {%llu, %llu, "
+                      "%llu, %llu, %llu}},  // %s\n",
+                      name(state), name(shape),
+                      static_cast<unsigned long long>(got.reads),
+                      static_cast<unsigned long long>(got.writes),
+                      static_cast<unsigned long long>(got.read_bytes),
+                      static_cast<unsigned long long>(got.write_bytes),
+                      static_cast<unsigned long long>(got.runs),
+                      to_string(id));
+          continue;
+        }
+        ++checked;
+        EXPECT_EQ(got.reads, it->io.reads) << where;
+        EXPECT_EQ(got.writes, it->io.writes) << where;
+        EXPECT_EQ(got.read_bytes, it->io.read_bytes) << where;
+        EXPECT_EQ(got.write_bytes, it->io.write_bytes) << where;
+        EXPECT_LE(got.runs, it->io.runs) << where;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPins));
+}
+
+// ---------------------------------------------------------------------
+// Fault cases. Code 5-6, p = 5, 512-byte blocks: logical 0 is cell
+// (0, 0); its parities sit at (disk 3, block 0) and (disk 4, block 1).
+
+constexpr std::size_t kFaultBlock = 512;
+
+struct Prefilled {
+  explicit Prefilled(std::int64_t stripes)
+      : array(5, stripes * 4, kFaultBlock),
+        ctrl(array, make_code(CodeId::kCode56, 5)) {
+    Buffer buf(static_cast<std::size_t>(ctrl.logical_blocks()) * kFaultBlock);
+    Rng(0xFA17).fill(buf.data(), buf.size());
+    ctrl.write(0, ctrl.logical_blocks(), buf.span());
+  }
+  DiskArray array;
+  ArrayController ctrl;
+};
+
+/// A parity pre-read that keeps failing must fail the write before any
+/// block is written, leaving the stripe consistent.
+TEST(WriteFaults, FailedParityReadThrowsBeforeWriting) {
+  for (const FaultPlan::BadBlock bad : {FaultPlan::BadBlock{3, 0},
+                                        FaultPlan::BadBlock{4, 1}}) {
+    Prefilled f(2);
+    Buffer old(kFaultBlock), in(kFaultBlock), got(kFaultBlock);
+    f.ctrl.read(0, old.span());
+    Rng(bad.disk).fill(in.data(), in.size());
+    FaultPlan plan;
+    plan.bad_blocks.push_back(bad);
+    f.array.set_fault_plan(plan);
+    EXPECT_THROW(f.ctrl.write(0, in.span()), std::runtime_error)
+        << "bad block at disk " << bad.disk;
+    f.array.set_fault_plan(FaultPlan{});
+    EXPECT_TRUE(f.ctrl.scrub().empty()) << "bad block at disk " << bad.disk;
+    f.ctrl.read(0, got.span());
+    EXPECT_TRUE(got == old);
+  }
+}
+
+/// Same for a sub-block write: its second parity's range read fails
+/// after the first parity could already have been rewritten.
+TEST(WriteFaults, FailedSubBlockParityReadThrowsBeforeWriting) {
+  Prefilled f(2);
+  Buffer in(100);
+  Rng(7).fill(in.data(), in.size());
+  FaultPlan plan;
+  plan.bad_blocks.push_back({4, 1});
+  f.array.set_fault_plan(plan);
+  EXPECT_THROW(f.ctrl.write_range(0, 100, in.span()), std::runtime_error);
+  f.array.set_fault_plan(FaultPlan{});
+  EXPECT_TRUE(f.ctrl.scrub().empty());
+}
+
+/// Torn writes are retried on every write shape — single-block runs
+/// included. At this rate and seed no block tears max_attempts times
+/// in a row, so every write lands whole.
+TEST(WriteFaults, TornWritesAreRetried) {
+  Prefilled f(64);
+  FaultPlan plan;
+  plan.torn_write_rate = 0.1;
+  f.array.set_fault_plan(plan);
+  Buffer in(2 * kFaultBlock);
+  Rng rng(0x7042);
+  for (std::int64_t l = 0; l + 2 <= f.ctrl.logical_blocks(); l += 5) {
+    rng.fill(in.data(), in.size());
+    f.ctrl.write(l, 2, in.span());
+  }
+  EXPECT_GT(f.array.torn_writes(), 0u);
+  f.array.set_fault_plan(FaultPlan{});
+  EXPECT_TRUE(f.ctrl.scrub().empty());
+}
+
+}  // namespace
+}  // namespace c56::mig

@@ -199,9 +199,9 @@ INSTANTIATE_TEST_SUITE_P(Zoo, FuzzTest, ::testing::ValuesIn(all_params()),
 /// stream of randomly shaped write_range ops — unaligned interiors,
 /// 1-byte writes, ranges ending exactly at the block boundary, full
 /// blocks, zero-length no-ops, and batches whose entries overlap
-/// inside one block — against a flat byte model, with the delta and
-/// promotion knobs flipped mid-stream. Every range read must match
-/// the model and every stripe must scrub clean at the end.
+/// inside one block — against a flat byte model, with the delta knob
+/// flipped mid-stream. Every range read must match the model and every
+/// stripe must scrub clean at the end.
 class SubBlockFuzzTest : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SubBlockFuzzTest, RandomOpStreamMatchesByteModel) {
@@ -249,7 +249,6 @@ TEST_P(SubBlockFuzzTest, RandomOpStreamMatchesByteModel) {
   Buffer scratch(8 * kBlock);
   Buffer got(kBlock);
   for (int op = 0; op < 300; ++op) {
-    if (op == 100) ctrl.set_subblock_promote_pct(50);
     if (op == 180) ctrl.set_subblock_delta(false);
     if (op == 240) ctrl.set_subblock_delta(true);
     const auto kind = rng.next_below(4);

@@ -219,20 +219,46 @@ std::vector<Param> all_params() {
 INSTANTIATE_TEST_SUITE_P(Zoo, PartialWriteDifferentialTest,
                          ::testing::ValuesIn(all_params()), param_name);
 
-/// A promotion threshold below 100% widens large ranges to whole-block
-/// semantics; the bytes must not care which path was taken.
+/// Promotion has one fixed threshold: a cell that a batch entry covers
+/// whole is planned whole-block (its parities can be computed directly,
+/// a stripe covered whole is one encode), while one byte less stays a
+/// ranged read-modify-write. Batches straddling the threshold — whole
+/// blocks tiling rows and stripes, near-whole ranges, and partial
+/// entries patched over whole ones — must leave the reference's bytes.
 TEST_P(PartialWriteDifferentialTest, PromotionThresholdPreservesBytes) {
-  sub_->set_subblock_promote_pct(50);
   Rng rng(0x9407E + GetParam().p);
-  Buffer scratch(kBlock);
-  for (int op = 0; op < 60; ++op) {
-    const auto l = static_cast<std::int64_t>(
-        rng.next_below(static_cast<std::uint64_t>(total_)));
-    const auto [off, len] = random_range(rng);
-    rng.fill(scratch.data(), len);
-    const auto data = scratch.span().subspan(0, len);
-    sub_->write_range(l, static_cast<std::int64_t>(off), data);
-    apply_ref(l, off, data);
+  const std::int64_t per = total_ / kStripes;  // data cells per stripe
+  Buffer scratch(static_cast<std::size_t>(per) * kBlock);
+  for (int op = 0; op < 24; ++op) {
+    const auto base = static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(kStripes))) * per;
+    const std::int64_t n =
+        rng.next_below(2) == 0
+            ? per
+            : 1 + static_cast<std::int64_t>(
+                      rng.next_below(static_cast<std::uint64_t>(per)));
+    rng.fill(scratch.data(), scratch.size());
+    std::vector<ArrayController::SubWrite> batch;
+    for (std::int64_t k = 0; k < n; ++k) {
+      const auto blk =
+          scratch.span().subspan(static_cast<std::size_t>(k) * kBlock, kBlock);
+      switch (rng.next_below(4)) {
+        case 0:  // one byte short of the threshold
+          batch.push_back({base + k, 1, blk.subspan(1)});
+          break;
+        case 1:  // whole block, then a partial patch on top
+          batch.push_back({base + k, 0, blk});
+          batch.push_back({base + k, 5, blk.subspan(9, 7)});
+          break;
+        default:  // whole block
+          batch.push_back({base + k, 0, blk});
+          break;
+      }
+    }
+    sub_->write_range(batch);
+    for (const auto& w : batch) {
+      apply_ref(w.logical, static_cast<std::size_t>(w.offset), w.data);
+    }
   }
   expect_arrays_identical();
 }
