@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -18,6 +19,16 @@ namespace {
 std::string describe(const IoResult& r) {
   return std::string(to_string(r.status)) + " at disk " +
          std::to_string(r.disk) + " block " + std::to_string(r.block);
+}
+
+/// Application byte ranges must lie inside one block.
+void check_range(std::size_t bs, std::size_t offset, std::size_t len) {
+  if (offset > bs || len > bs - offset) {
+    throw std::out_of_range("OnlineMigrator: byte range [" +
+                            std::to_string(offset) + ", +" +
+                            std::to_string(len) + ") outside block of " +
+                            std::to_string(bs) + " bytes");
+  }
 }
 
 }  // namespace
@@ -310,20 +321,39 @@ void OnlineMigrator::abort_from_io(std::string reason) {
   cv_.notify_all();
 }
 
+void OnlineMigrator::charge(const IoCounters& c, Flow flow) {
+  std::lock_guard sk(stats_mu_);
+  if (flow == Flow::kApplication) {
+    stats_.app_reads += c.reads;
+    stats_.app_writes += c.writes;
+  } else if (flow == Flow::kConversion) {
+    stats_.conv_reads += c.reads;
+    stats_.conv_writes += c.writes;
+  }
+  stats_.retries += c.retries;
+  stats_.backoff_us += c.backoff_us;
+}
+
+void OnlineMigrator::bump(std::uint64_t OnlineStats::*counter) {
+  std::lock_guard sk(stats_mu_);
+  ++(stats_.*counter);
+}
+
 IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
-                                     std::span<std::uint8_t> out,
-                                     bool conversion) {
+                                     std::size_t offset,
+                                     std::span<std::uint8_t> out, Flow flow) {
   IoCounters c;
   bool reconstructed = false;
   IoResult r = IoResult::fail(IoStatus::kDiskFailed, disk, block);
   if (!array_.disk_failed(disk)) {
-    r = read_block_retry(array_, disk, block, out, retry_, &c);
+    r = read_range_retry(array_, disk, block, offset, out, retry_, &c);
   }
   if (!r.ok() && disk < m_) {
     // Reconstruct through the RAID-5 horizontal parity: every row of
     // the source array XORs to zero, so the block is the XOR of the
     // other m-1 blocks of its row (works for data and parity cells
     // alike, and for hard sector errors as well as whole-disk loss).
+    // The chain covers whole blocks; only the range is copied out.
     std::vector<BlockAddr> srcs;
     srcs.reserve(static_cast<std::size_t>(m_ - 1));
     bool possible = true;
@@ -336,35 +366,37 @@ IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
       srcs.push_back({d, block});
     }
     if (possible) {
-      const IoResult rr = xor_chain_read(array_, srcs, out, retry_, &c);
-      if (rr.ok()) reconstructed = true;
-      r = rr;
+      PooledBuffer whole(array_.block_bytes());
+      r = xor_chain_read(array_, srcs, whole.span(), retry_, &c);
+      if (r.ok()) {
+        std::memcpy(out.data(), whole.data() + offset, out.size());
+        reconstructed = true;
+      }
     }
   }
-  {
-    std::lock_guard sk(stats_mu_);
-    (conversion ? stats_.conv_reads : stats_.app_reads) += c.reads;
-    stats_.retries += c.retries;
-    stats_.backoff_us += c.backoff_us;
-    if (reconstructed) ++stats_.reconstructed_reads;
-  }
-  if (reconstructed && events_) {
-    emit_event(obs::EventLevel::kWarn,
-               std::string("read served by parity reconstruction (") +
-                   (conversion ? "conversion" : "application") + " flow)",
-               -1, -1, disk, block, "reconstructed_read");
+  charge(c, flow);
+  if (reconstructed) {
+    bump(&OnlineStats::reconstructed_reads);
+    if (events_) {
+      const char* who =
+          flow == Flow::kConversion ? "conversion" : "application";
+      emit_event(obs::EventLevel::kWarn,
+                 std::string("read served by parity reconstruction (") + who +
+                     " flow)",
+                 -1, -1, disk, block, "reconstructed_read");
+    }
   }
   return r;
 }
 
-IoResult OnlineMigrator::generate_diag(std::int64_t group, int diag_row) {
+IoResult OnlineMigrator::diag_chain(std::int64_t group, int diag_row,
+                                    std::span<std::uint8_t> acc) {
   // Chain for diagonal parity row i (Eq. 2): data cells
   // (<i-1-j> mod p, j), j != i. The chain members are staged into one
   // arena, then folded with a single accumulate pass.
   const int p = code_.p();
   const std::size_t bs = array_.block_bytes();
   PooledBuffer arena(bs * static_cast<std::size_t>(p - 2));
-  PooledBuffer acc(bs);
   std::vector<const std::uint8_t*> srcs;
   srcs.reserve(static_cast<std::size_t>(p - 2));
   for (int j = 0; j <= p - 2; ++j) {
@@ -372,46 +404,33 @@ IoResult OnlineMigrator::generate_diag(std::int64_t group, int diag_row) {
     const int r = pmod(diag_row - 1 - j, p);
     auto slot = arena.block(srcs.size(), bs);
     const IoResult res =
-        read_source(j, group * (p - 1) + r, slot, /*conversion=*/true);
+        read_source(j, group * (p - 1) + r, 0, slot, Flow::kConversion);
     if (!res.ok()) return res;
     srcs.push_back(slot.data());
   }
-  xor_accumulate(acc.span(), srcs);
+  xor_accumulate(acc, srcs);
+  return IoResult::success();
+}
+
+IoResult OnlineMigrator::generate_diag(std::int64_t group, int diag_row) {
+  PooledBuffer acc(array_.block_bytes());
+  const IoResult chain = diag_chain(group, diag_row, acc.span());
+  if (!chain.ok()) return chain;
   IoCounters c;
   const IoResult res =
-      write_block_retry(array_, new_disk_, group * (p - 1) + diag_row,
+      write_block_retry(array_, new_disk_, group * (code_.p() - 1) + diag_row,
                         acc.span(), retry_, &c);
-  {
-    std::lock_guard sk(stats_mu_);
-    stats_.conv_writes += c.writes;
-    stats_.retries += c.retries;
-    stats_.backoff_us += c.backoff_us;
-  }
+  charge(c, Flow::kConversion);
   return res;
 }
 
 int OnlineMigrator::first_stale_diag(std::int64_t group, int upto) {
-  const int p = code_.p();
-  const std::size_t bs = array_.block_bytes();
-  PooledBuffer arena(bs * static_cast<std::size_t>(p - 2));
-  PooledBuffer acc(bs);
-  std::vector<const std::uint8_t*> srcs;
+  PooledBuffer acc(array_.block_bytes());
   for (int i = 0; i < upto; ++i) {
-    srcs.clear();
-    bool readable = true;
-    for (int j = 0; j <= p - 2; ++j) {
-      if (j == i) continue;
-      const int r = pmod(i - 1 - j, p);
-      auto slot = arena.block(srcs.size(), bs);
-      if (!read_source(j, group * (p - 1) + r, slot, true).ok()) {
-        readable = false;  // unreadable chain: let the conversion retry it
-        break;
-      }
-      srcs.push_back(slot.data());
-    }
-    if (!readable) return i;
-    xor_accumulate(acc.span(), srcs);
-    const auto stored = array_.raw_block(new_disk_, group * (p - 1) + i);
+    // An unreadable chain counts as stale: the conversion retries it.
+    if (!diag_chain(group, i, acc.span()).ok()) return i;
+    const auto stored =
+        array_.raw_block(new_disk_, group * (code_.p() - 1) + i);
     if (!std::ranges::equal(acc.span(), stored)) return i;
   }
   return upto;
@@ -538,14 +557,37 @@ void OnlineMigrator::worker_entry(int w) {
 
 IoResult OnlineMigrator::read_block(std::int64_t logical,
                                     std::span<std::uint8_t> out) {
+  if (out.size() != array_.block_bytes()) {
+    throw std::invalid_argument(
+        "OnlineMigrator::read_block: buffer is not one block");
+  }
+  return read_range(logical, 0, out);
+}
+
+IoResult OnlineMigrator::read_range(std::int64_t logical, std::size_t offset,
+                                    std::span<std::uint8_t> out) {
+  check_range(array_.block_bytes(), offset, out.size());
+  if (out.empty()) return IoResult::success();  // validated no-op
   const Locus l = locate(logical);
   std::shared_lock ops(ops_mu_);
   std::lock_guard gl(group_lock(l.group));
-  return read_source(l.disk, l.block, out, /*conversion=*/false);
+  return read_source(l.disk, l.block, offset, out, Flow::kApplication);
 }
 
 IoResult OnlineMigrator::write_block(std::int64_t logical,
                                      std::span<const std::uint8_t> in) {
+  if (in.size() != array_.block_bytes()) {
+    throw std::invalid_argument(
+        "OnlineMigrator::write_block: buffer is not one block");
+  }
+  return write_range(logical, 0, in);
+}
+
+IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
+                                     std::span<const std::uint8_t> in) {
+  const std::size_t bs = array_.block_bytes();
+  check_range(bs, offset, in.size());
+  if (in.empty()) return IoResult::success();  // validated no-op
   const Locus l = locate(logical);
   const int p = code_.p();
   pending_writers_.fetch_add(1);
@@ -557,14 +599,16 @@ IoResult OnlineMigrator::write_block(std::int64_t logical,
   std::shared_lock ops(ops_mu_);
   std::unique_lock gl(group_lock(l.group));
   pending_writers_.fetch_sub(1);
-  if (running_.load()) {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.interruptions;
-  }
+  if (running_.load()) bump(&OnlineStats::interruptions);
 
-  const std::size_t bs = array_.block_bytes();
-  PooledBuffer old_data(bs), delta(bs), par(bs);
-  const IoResult oldr = read_source(l.disk, l.block, old_data.span(), false);
+  // Every parity chain is bytewise, so each parity the block feeds
+  // takes parity ^= old ^ new over the same intra-block range.
+  const std::size_t len = in.size();
+  PooledBuffer old_buf(bs), par_buf(bs);
+  const auto old = old_buf.span().first(len);
+  const auto par = par_buf.span().first(len);
+  const IoResult oldr =
+      read_source(l.disk, l.block, offset, old, Flow::kApplication);
   if (!oldr.ok()) {
     // The pre-image is gone: the write (and the block) cannot be kept
     // consistent. Mid-conversion this is the data-loss event Table VI
@@ -573,34 +617,27 @@ IoResult OnlineMigrator::write_block(std::int64_t logical,
                   std::to_string(logical) + ": " + describe(oldr));
     return oldr;
   }
-  xor_to(delta.data(), old_data.data(), in.data(), bs);
+  const auto put = [&](int disk, std::int64_t block,
+                       std::span<const std::uint8_t> bytes) {
+    IoCounters c;
+    const IoResult w =
+        write_range_retry(array_, disk, block, offset, bytes, retry_, &c);
+    charge(c, Flow::kApplication);
+    return w.ok();
+  };
 
   // Horizontal parity: always maintained (it is the RAID-5 parity).
+  // read_source also recovers a latent sector error under the parity
+  // range (the row XOR reconstructs parity cells too).
   const int hpar_disk = p - 2 - l.row;
   bool parity_updated = false;
-  if (!array_.disk_failed(hpar_disk)) {
-    // read_source also recovers a latent sector error under the parity
-    // block itself (the row XOR reconstructs parity cells too).
-    const IoResult r = read_source(hpar_disk, l.block, par.span(), false);
-    if (r.ok()) {
-      xor_into(par.span(), delta.span());
-      IoCounters c;
-      const IoResult w =
-          write_block_retry(array_, hpar_disk, l.block, par.span(), retry_, &c);
-      {
-        std::lock_guard sk(stats_mu_);
-        stats_.app_writes += c.writes;
-        stats_.retries += c.retries;
-        stats_.backoff_us += c.backoff_us;
-      }
-      parity_updated = w.ok();
-    }
+  if (!array_.disk_failed(hpar_disk) &&
+      read_source(hpar_disk, l.block, offset, par, Flow::kApplication).ok()) {
+    xor_delta_into(par, old, in);
+    parity_updated = put(hpar_disk, l.block, par);
   }
   if (!parity_updated) {
-    {
-      std::lock_guard sk(stats_mu_);
-      ++stats_.degraded_writes;
-    }
+    bump(&OnlineStats::degraded_writes);
     if (events_) {
       emit_event(obs::EventLevel::kWarn,
                  "degraded write: horizontal parity not updated for logical "
@@ -610,22 +647,12 @@ IoResult OnlineMigrator::write_block(std::int64_t logical,
     }
   }
 
-  // Data block itself.
+  // Data range itself.
   bool data_written = false;
   if (!array_.disk_failed(l.disk)) {
-    IoCounters c;
-    const IoResult w =
-        write_block_retry(array_, l.disk, l.block, in, retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_writes += c.writes;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    data_written = w.ok();
+    data_written = put(l.disk, l.block, in);
   } else {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.degraded_writes;
+    bump(&OnlineStats::degraded_writes);
   }
 
   if (!data_written && !parity_updated) {
@@ -639,250 +666,28 @@ IoResult OnlineMigrator::write_block(std::int64_t logical,
   // Diagonal parity: only if this block's diagonal chain is already on
   // the new disk (otherwise the group's owner will fold the new value
   // in). rows_done_ is read under the same group lock the owner stores
-  // it under, so the check cannot race a half-written diagonal.
+  // it under, so the check cannot race a half-written diagonal. The
+  // horizontal-parity anti-diagonal (row + col == p-2) is on no
+  // diagonal chain -- but locate() only yields data cells, and every
+  // data cell is on exactly one chain, so diag_row is always valid.
   if (new_disk_ >= 0) {
     const int diag_row = pmod(l.row + l.disk + 1, p);
-    const bool generated =
-        rows_done_[l.group].load(std::memory_order_acquire) > diag_row;
-    // The horizontal-parity anti-diagonal (row + col == p-2) is on no
-    // diagonal chain -- but locate() only yields data cells, and every
-    // data cell is on exactly one chain, so diag_row is always valid.
-    if (generated) {
-      if (!array_.disk_failed(new_disk_)) {
-        const std::int64_t db = l.group * (p - 1) + diag_row;
-        IoCounters c;
-        const IoResult r =
-            read_block_retry(array_, new_disk_, db, par.span(), retry_, &c);
-        {
-          std::lock_guard sk(stats_mu_);
-          stats_.app_reads += c.reads;
-          stats_.retries += c.retries;
-          stats_.backoff_us += c.backoff_us;
-        }
-        if (r.ok()) {
-          const IoResult w = [&] {
-            xor_into(par.span(), delta.span());
-            IoCounters wc;
-            const IoResult res = write_block_retry(array_, new_disk_, db,
-                                                   par.span(), retry_, &wc);
-            {
-              std::lock_guard sk(stats_mu_);
-              stats_.app_writes += wc.writes;
-              stats_.retries += wc.retries;
-              stats_.backoff_us += wc.backoff_us;
-            }
-            return res;
-          }();
-          if (!w.ok()) {
-            std::lock_guard sk(stats_mu_);
-            ++stats_.degraded_writes;
-          }
-        } else if (r.status == IoStatus::kSectorError) {
-          // The stored diagonal parity is unreadable: regenerate its
-          // whole chain from the (already updated) data. Counted as
-          // conversion I/O, which is what the regeneration is.
-          generate_diag(l.group, diag_row);
-        } else {
-          std::lock_guard sk(stats_mu_);
-          ++stats_.degraded_writes;
-        }
+    if (rows_done_[l.group].load(std::memory_order_acquire) > diag_row) {
+      const std::int64_t db = l.group * (p - 1) + diag_row;
+      // The new disk is no source disk: read_source only retries it,
+      // and returns kDiskFailed without I/O when it is failed.
+      const IoResult r =
+          read_source(new_disk_, db, offset, par, Flow::kApplication);
+      if (r.ok()) {
+        xor_delta_into(par, old, in);
+        if (!put(new_disk_, db, par)) bump(&OnlineStats::degraded_writes);
+      } else if (r.status == IoStatus::kSectorError) {
+        // The stored diagonal parity is unreadable: regenerate its
+        // whole chain from the (already updated) data. Counted as
+        // conversion I/O, which is what the regeneration is.
+        generate_diag(l.group, diag_row);
       } else {
-        std::lock_guard sk(stats_mu_);
-        ++stats_.degraded_writes;
-      }
-    }
-  }
-
-  return IoResult::success();
-}
-
-IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
-                                     std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  if (offset > bs || in.size() > bs - offset) {
-    throw std::out_of_range("OnlineMigrator::write_range: bad range");
-  }
-  if (in.empty()) return IoResult::success();  // validated no-op
-  if (offset == 0 && in.size() == bs) return write_block(logical, in);
-
-  const Locus l = locate(logical);
-  const int p = code_.p();
-  const std::size_t len = in.size();
-  pending_writers_.fetch_add(1);
-  // Wake the workers once the write is out of the way (or bailed out).
-  struct Notifier {
-    std::condition_variable& cv;
-    ~Notifier() { cv.notify_all(); }
-  } notify{cv_};
-  std::shared_lock ops(ops_mu_);
-  std::unique_lock gl(group_lock(l.group));
-  pending_writers_.fetch_sub(1);
-  if (running_.load()) {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.interruptions;
-  }
-
-  // Old bytes of the range: a ranged read off the healthy disk, else a
-  // whole-block reconstruction through the horizontal parity (the XOR
-  // chains cover full blocks; only the range is used downstream).
-  PooledBuffer old_blk(bs), par(bs);
-  bool have_old = false;
-  if (!array_.disk_failed(l.disk)) {
-    IoCounters c;
-    const IoResult r = read_range_retry(array_, l.disk, l.block, offset,
-                                        old_blk.span().subspan(offset, len),
-                                        retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_reads += c.reads;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    have_old = r.ok();
-  }
-  if (!have_old) {
-    const IoResult oldr = read_source(l.disk, l.block, old_blk.span(), false);
-    if (!oldr.ok()) {
-      // The pre-image is gone: the write (and the block) cannot be kept
-      // consistent — the same data-loss event write_block aborts on.
-      abort_from_io("application write lost logical block " +
-                    std::to_string(logical) + ": " + describe(oldr));
-      return oldr;
-    }
-  }
-  const std::span<const std::uint8_t> old_range =
-      old_blk.span().subspan(offset, len);
-
-  // Horizontal parity: always maintained (it is the RAID-5 parity).
-  // parity[offset, offset+len) ^= new ^ old — the chain is bytewise, so
-  // the delta lands at the same intra-block offset.
-  const int hpar_disk = p - 2 - l.row;
-  bool parity_updated = false;
-  if (!array_.disk_failed(hpar_disk)) {
-    IoCounters c;
-    IoResult r = read_range_retry(array_, hpar_disk, l.block, offset,
-                                  par.span().subspan(offset, len), retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_reads += c.reads;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    bool have_full_par = false;
-    if (!r.ok()) {
-      // A latent sector error under the parity range: recover the whole
-      // block through the row XOR, exactly as write_block does.
-      r = read_source(hpar_disk, l.block, par.span(), false);
-      have_full_par = r.ok();
-    }
-    if (r.ok()) {
-      xor_delta_into(par.span().subspan(offset, len), old_range, in);
-      IoCounters wc;
-      const IoResult w =
-          have_full_par
-              ? write_block_retry(array_, hpar_disk, l.block, par.span(),
-                                  retry_, &wc)
-              : write_range_retry(array_, hpar_disk, l.block, offset,
-                                  par.span().subspan(offset, len), retry_,
-                                  &wc);
-      {
-        std::lock_guard sk(stats_mu_);
-        stats_.app_writes += wc.writes;
-        stats_.retries += wc.retries;
-        stats_.backoff_us += wc.backoff_us;
-      }
-      parity_updated = w.ok();
-    }
-  }
-  if (!parity_updated) {
-    {
-      std::lock_guard sk(stats_mu_);
-      ++stats_.degraded_writes;
-    }
-    if (events_) {
-      emit_event(obs::EventLevel::kWarn,
-                 "degraded write: horizontal parity not updated for logical "
-                 "block " +
-                     std::to_string(logical),
-                 l.group, -1, hpar_disk, l.block, "degraded_write");
-    }
-  }
-
-  // Data range itself.
-  bool data_written = false;
-  if (!array_.disk_failed(l.disk)) {
-    IoCounters c;
-    const IoResult w =
-        write_range_retry(array_, l.disk, l.block, offset, in, retry_, &c);
-    {
-      std::lock_guard sk(stats_mu_);
-      stats_.app_writes += c.writes;
-      stats_.retries += c.retries;
-      stats_.backoff_us += c.backoff_us;
-    }
-    data_written = w.ok();
-  } else {
-    std::lock_guard sk(stats_mu_);
-    ++stats_.degraded_writes;
-  }
-
-  if (!data_written && !parity_updated) {
-    // Neither replica of the update is durable: unrecoverable.
-    const IoResult res = IoResult::fail(IoStatus::kDiskFailed, l.disk, l.block);
-    abort_from_io("application write lost logical block " +
-                  std::to_string(logical) + ": data and parity disks failed");
-    return res;
-  }
-
-  // Diagonal parity: the trust-domain rule is write_block's — delta
-  // only into a chain the conversion watermark has already generated;
-  // an unconverted group's owner folds the new value in when it gets
-  // there. rows_done_ is read under the same group lock the owner
-  // stores it under.
-  if (new_disk_ >= 0) {
-    const int diag_row = pmod(l.row + l.disk + 1, p);
-    const bool generated =
-        rows_done_[l.group].load(std::memory_order_acquire) > diag_row;
-    if (generated) {
-      if (!array_.disk_failed(new_disk_)) {
-        const std::int64_t db = l.group * (p - 1) + diag_row;
-        IoCounters c;
-        const IoResult r =
-            read_range_retry(array_, new_disk_, db, offset,
-                             par.span().subspan(offset, len), retry_, &c);
-        {
-          std::lock_guard sk(stats_mu_);
-          stats_.app_reads += c.reads;
-          stats_.retries += c.retries;
-          stats_.backoff_us += c.backoff_us;
-        }
-        if (r.ok()) {
-          xor_delta_into(par.span().subspan(offset, len), old_range, in);
-          IoCounters wc;
-          const IoResult w =
-              write_range_retry(array_, new_disk_, db, offset,
-                                par.span().subspan(offset, len), retry_, &wc);
-          {
-            std::lock_guard sk(stats_mu_);
-            stats_.app_writes += wc.writes;
-            stats_.retries += wc.retries;
-            stats_.backoff_us += wc.backoff_us;
-          }
-          if (!w.ok()) {
-            std::lock_guard sk(stats_mu_);
-            ++stats_.degraded_writes;
-          }
-        } else if (r.status == IoStatus::kSectorError) {
-          // The stored diagonal parity is unreadable: regenerate its
-          // whole chain from the (already updated) data.
-          generate_diag(l.group, diag_row);
-        } else {
-          std::lock_guard sk(stats_mu_);
-          ++stats_.degraded_writes;
-        }
-      } else {
-        std::lock_guard sk(stats_mu_);
-        ++stats_.degraded_writes;
+        bump(&OnlineStats::degraded_writes);
       }
     }
   }
@@ -1040,9 +845,7 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
                                      std::to_string(d) +
                                      " not reconstructible");
           }
-          std::lock_guard sk(stats_mu_);
-          stats_.retries += c.retries;
-          stats_.backoff_us += c.backoff_us;
+          charge(c, Flow::kRebuild);
         }
       }
       rebuilt += m;

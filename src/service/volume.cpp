@@ -323,16 +323,11 @@ void Volume::execute_migrator(std::span<QueuedOp> ops) {
                               static_cast<std::size_t>(op.req.offset),
                               op.req.in);
         break;
-      case OpKind::kReadRange: {
-        PooledBuffer block(bs);
-        r = mig_->read_block(op.req.logical, block.span());
-        if (r.ok()) {
-          std::memcpy(op.req.out.data(),
-                      block.data() + static_cast<std::size_t>(op.req.offset),
-                      op.req.out.size());
-        }
+      case OpKind::kReadRange:
+        r = mig_->read_range(op.req.logical,
+                             static_cast<std::size_t>(op.req.offset),
+                             op.req.out);
         break;
-      }
     }
     op.result = r.ok() ? Status::kOk : Status::kIoError;
   }

@@ -1,12 +1,17 @@
 // Fault-tolerant online migration: the conversion surviving a source
 // disk lost mid-stream, transient-error retry, terminal aborts on
-// double failures, crash-consistent resume through the journal, and the
-// migrator's lifecycle orderings.
+// double failures, crash-consistent resume through the journal, the
+// migrator's lifecycle orderings, and its application write path: I/O
+// pins per state, disk condition and call, buffer-size checks, and one
+// retry ladder per unreadable range.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "layout/raid.hpp"
@@ -14,6 +19,7 @@
 #include "migration/journal.hpp"
 #include "migration/online.hpp"
 #include "util/rng.hpp"
+#include "xorblk/buffer.hpp"
 #include "xorblk/xor.hpp"
 
 namespace c56::mig {
@@ -23,17 +29,18 @@ constexpr std::size_t kBlock = 64;
 
 /// Build a valid left-asymmetric RAID-5 with random data.
 void fill_raid5(DiskArray& array, int m, std::uint64_t seed) {
+  const std::size_t bs = array.block_bytes();
   Rng rng(seed);
-  std::vector<std::uint8_t> block(kBlock), parity(kBlock);
+  std::vector<std::uint8_t> block(bs), parity(bs);
   for (std::int64_t row = 0; row < array.blocks_per_disk(); ++row) {
     std::fill(parity.begin(), parity.end(), 0);
     const int pdisk = raid5_parity_disk(Raid5Flavor::kLeftAsymmetric,
                                         static_cast<int>(row % m), m);
     for (int d = 0; d < m; ++d) {
       if (d == pdisk) continue;
-      rng.fill(block.data(), kBlock);
+      rng.fill(block.data(), bs);
       std::ranges::copy(block, array.raw_block(d, row).begin());
-      xor_into(parity.data(), block.data(), kBlock);
+      xor_into(parity.data(), block.data(), bs);
     }
     std::ranges::copy(parity, array.raw_block(pdisk, row).begin());
   }
@@ -324,6 +331,9 @@ TEST(CrashResume, WatermarkGroupIsReverified) {
   std::int64_t watermark = 0;
   {
     OnlineMigrator mig(array, p);
+    // Checkpoint 14 is mid-conversion only with one worker; with
+    // $C56_CONVERT_WORKERS workers every group can finish first.
+    mig.set_workers(1);
     mig.attach_journal(sink);
     sink.arm([&mig] { mig.request_stop(); });
     mig.start();
@@ -441,6 +451,370 @@ TEST(Lifecycle, StopBeforeStartDoesNotWedgeTheConverter) {
   mig.finish();
   EXPECT_EQ(mig.state(), MigrationState::kDone);
   EXPECT_TRUE(mig.verify_raid6());
+}
+
+// ---------------------------------------------------------------------
+// Application-write I/O shape: literal pins of the DiskArray traffic and
+// the OnlineStats steps of one migrator write, per code size, migration
+// state, disk condition and call. Only whole-disk failures are
+// injected, so every number is deterministic.
+
+constexpr std::size_t kPinBlock = 1024;
+
+enum class MigState { kPreStart, kMidGroup, kDone };
+enum class Condition { kHealthy, kDataFailed, kHparFailed, kNewDiskFailed };
+enum class Call { kWriteBlock, kFullRange, kSubRange };
+
+struct MigIo {
+  std::uint64_t app_reads, app_writes, degraded_writes;
+  std::uint64_t reads, writes, read_bytes, write_bytes;
+};
+
+struct MigPin {
+  int p;
+  MigState state;
+  Condition cond;
+  Call call;
+  MigIo io;
+};
+
+constexpr MigState kPreStart = MigState::kPreStart;
+constexpr MigState kMidGroup = MigState::kMidGroup;
+constexpr MigState kDone = MigState::kDone;
+constexpr Condition kHealthy = Condition::kHealthy;
+constexpr Condition kDataFailed = Condition::kDataFailed;
+constexpr Condition kHparFailed = Condition::kHparFailed;
+constexpr Condition kNewDiskFailed = Condition::kNewDiskFailed;
+constexpr Call kWriteBlock = Call::kWriteBlock;
+constexpr Call kFullRange = Call::kFullRange;
+constexpr Call kSubRange = Call::kSubRange;
+
+// {app_reads, app_writes, degraded_writes, reads, writes, read_bytes,
+// write_bytes}; 1 KiB blocks, the 512 B range at offset 256.
+constexpr MigPin kMigPins[] = {
+    {5, kPreStart, kHealthy, kWriteBlock, {2, 2, 0, 2, 2, 2048, 2048}},
+    {5, kPreStart, kHealthy, kFullRange, {2, 2, 0, 2, 2, 2048, 2048}},
+    {5, kPreStart, kHealthy, kSubRange, {2, 2, 0, 2, 2, 1024, 1024}},
+    {5, kPreStart, kDataFailed, kWriteBlock, {4, 1, 1, 4, 1, 4096, 1024}},
+    {5, kPreStart, kDataFailed, kFullRange, {4, 1, 1, 4, 1, 4096, 1024}},
+    {5, kPreStart, kDataFailed, kSubRange, {4, 1, 1, 4, 1, 3584, 512}},
+    {5, kPreStart, kHparFailed, kWriteBlock, {1, 1, 1, 1, 1, 1024, 1024}},
+    {5, kPreStart, kHparFailed, kFullRange, {1, 1, 1, 1, 1, 1024, 1024}},
+    {5, kPreStart, kHparFailed, kSubRange, {1, 1, 1, 1, 1, 512, 512}},
+    {5, kMidGroup, kHealthy, kWriteBlock, {3, 3, 0, 3, 3, 3072, 3072}},
+    {5, kMidGroup, kHealthy, kFullRange, {3, 3, 0, 3, 3, 3072, 3072}},
+    {5, kMidGroup, kHealthy, kSubRange, {3, 3, 0, 3, 3, 1536, 1536}},
+    {5, kMidGroup, kDataFailed, kWriteBlock, {5, 2, 1, 5, 2, 5120, 2048}},
+    {5, kMidGroup, kDataFailed, kFullRange, {5, 2, 1, 5, 2, 5120, 2048}},
+    {5, kMidGroup, kDataFailed, kSubRange, {5, 2, 1, 5, 2, 4096, 1024}},
+    {5, kMidGroup, kHparFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kMidGroup, kHparFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kMidGroup, kHparFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {5, kMidGroup, kNewDiskFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kMidGroup, kNewDiskFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kMidGroup, kNewDiskFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {5, kDone, kHealthy, kWriteBlock, {3, 3, 0, 3, 3, 3072, 3072}},
+    {5, kDone, kHealthy, kFullRange, {3, 3, 0, 3, 3, 3072, 3072}},
+    {5, kDone, kHealthy, kSubRange, {3, 3, 0, 3, 3, 1536, 1536}},
+    {5, kDone, kDataFailed, kWriteBlock, {5, 2, 1, 5, 2, 5120, 2048}},
+    {5, kDone, kDataFailed, kFullRange, {5, 2, 1, 5, 2, 5120, 2048}},
+    {5, kDone, kDataFailed, kSubRange, {5, 2, 1, 5, 2, 4096, 1024}},
+    {5, kDone, kHparFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kDone, kHparFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kDone, kHparFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {5, kDone, kNewDiskFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kDone, kNewDiskFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {5, kDone, kNewDiskFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {7, kPreStart, kHealthy, kWriteBlock, {2, 2, 0, 2, 2, 2048, 2048}},
+    {7, kPreStart, kHealthy, kFullRange, {2, 2, 0, 2, 2, 2048, 2048}},
+    {7, kPreStart, kHealthy, kSubRange, {2, 2, 0, 2, 2, 1024, 1024}},
+    {7, kPreStart, kDataFailed, kWriteBlock, {6, 1, 1, 6, 1, 6144, 1024}},
+    {7, kPreStart, kDataFailed, kFullRange, {6, 1, 1, 6, 1, 6144, 1024}},
+    {7, kPreStart, kDataFailed, kSubRange, {6, 1, 1, 6, 1, 5632, 512}},
+    {7, kPreStart, kHparFailed, kWriteBlock, {1, 1, 1, 1, 1, 1024, 1024}},
+    {7, kPreStart, kHparFailed, kFullRange, {1, 1, 1, 1, 1, 1024, 1024}},
+    {7, kPreStart, kHparFailed, kSubRange, {1, 1, 1, 1, 1, 512, 512}},
+    {7, kMidGroup, kHealthy, kWriteBlock, {3, 3, 0, 3, 3, 3072, 3072}},
+    {7, kMidGroup, kHealthy, kFullRange, {3, 3, 0, 3, 3, 3072, 3072}},
+    {7, kMidGroup, kHealthy, kSubRange, {3, 3, 0, 3, 3, 1536, 1536}},
+    {7, kMidGroup, kDataFailed, kWriteBlock, {7, 2, 1, 7, 2, 7168, 2048}},
+    {7, kMidGroup, kDataFailed, kFullRange, {7, 2, 1, 7, 2, 7168, 2048}},
+    {7, kMidGroup, kDataFailed, kSubRange, {7, 2, 1, 7, 2, 6144, 1024}},
+    {7, kMidGroup, kHparFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kMidGroup, kHparFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kMidGroup, kHparFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {7, kMidGroup, kNewDiskFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kMidGroup, kNewDiskFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kMidGroup, kNewDiskFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {7, kDone, kHealthy, kWriteBlock, {3, 3, 0, 3, 3, 3072, 3072}},
+    {7, kDone, kHealthy, kFullRange, {3, 3, 0, 3, 3, 3072, 3072}},
+    {7, kDone, kHealthy, kSubRange, {3, 3, 0, 3, 3, 1536, 1536}},
+    {7, kDone, kDataFailed, kWriteBlock, {7, 2, 1, 7, 2, 7168, 2048}},
+    {7, kDone, kDataFailed, kFullRange, {7, 2, 1, 7, 2, 7168, 2048}},
+    {7, kDone, kDataFailed, kSubRange, {7, 2, 1, 7, 2, 6144, 1024}},
+    {7, kDone, kHparFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kDone, kHparFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kDone, kHparFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+    {7, kDone, kNewDiskFailed, kWriteBlock, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kDone, kNewDiskFailed, kFullRange, {2, 2, 1, 2, 2, 2048, 2048}},
+    {7, kDone, kNewDiskFailed, kSubRange, {2, 2, 1, 2, 2, 1024, 1024}},
+};
+
+const char* name(MigState s) {
+  switch (s) {
+    case MigState::kPreStart: return "kPreStart";
+    case MigState::kMidGroup: return "kMidGroup";
+    case MigState::kDone: return "kDone";
+  }
+  return "?";
+}
+
+const char* name(Condition c) {
+  switch (c) {
+    case Condition::kHealthy: return "kHealthy";
+    case Condition::kDataFailed: return "kDataFailed";
+    case Condition::kHparFailed: return "kHparFailed";
+    case Condition::kNewDiskFailed: return "kNewDiskFailed";
+  }
+  return "?";
+}
+
+const char* name(Call c) {
+  switch (c) {
+    case Call::kWriteBlock: return "kWriteBlock";
+    case Call::kFullRange: return "kFullRange";
+    case Call::kSubRange: return "kSubRange";
+  }
+  return "?";
+}
+
+/// Diagonal parity row (Eq. 2) holding the data cell at `row`, `disk`.
+int diag_row_of(int row, int disk, int p) { return (row + disk + 1) % p; }
+
+/// Runs one pinned write on a 3-group array and returns what it cost.
+MigIo measure_mig_write(int p, MigState state, Condition cond, Call call) {
+  const int m = p - 1;
+  DiskArray array(m, 3LL * (p - 1), kPinBlock);
+  fill_raid5(array, m, 0x9148 + static_cast<std::uint64_t>(p));
+  OnlineMigrator mig(array, p);
+  mig.set_workers(1);  // the checkpoint count below assumes one worker
+  // start() journals once, group 0 once per diagonal row plus the
+  // watermark advance, group 1 once per row: stopping after p + 3
+  // checkpoints leaves group 1 with exactly two diagonal rows.
+  StopAfterSink sink(static_cast<std::size_t>(p) + 3);
+  if (state == MigState::kMidGroup) {
+    mig.attach_journal(sink);
+    sink.arm([&mig] { mig.request_stop(); });
+  }
+  if (state != MigState::kPreStart) {
+    mig.start();
+    mig.finish();
+  }
+  if (state == MigState::kMidGroup) {
+    EXPECT_EQ(mig.state(), MigrationState::kStopped);
+    EXPECT_EQ(mig.groups_done(), 1);
+  }
+  if (state == MigState::kDone) {
+    EXPECT_EQ(mig.state(), MigrationState::kDone);
+  }
+
+  // Target: the first group-1 block on an already generated diagonal
+  // row of the mid-group state, so that state exercises the diagonal
+  // delta rather than repeating the pre-start shape.
+  std::int64_t target = static_cast<std::int64_t>(p - 1) * (m - 1);
+  Addr at = logical_addr(target, m);
+  while (diag_row_of(static_cast<int>(at.block % (p - 1)), at.disk, p) >= 2) {
+    at = logical_addr(++target, m);
+  }
+  const int hpar = p - 2 - static_cast<int>(at.block % (p - 1));
+  std::vector<std::uint8_t> expect(array.raw_block(at.disk, at.block).begin(),
+                                   array.raw_block(at.disk, at.block).end());
+  switch (cond) {
+    case Condition::kHealthy: break;
+    case Condition::kDataFailed: array.fail_disk(at.disk); break;
+    case Condition::kHparFailed: array.fail_disk(hpar); break;
+    case Condition::kNewDiskFailed: array.fail_disk(m); break;
+  }
+
+  Buffer in(kPinBlock);
+  Rng(0x9149).fill(in.data(), in.size());
+  const OnlineStats s0 = mig.stats();
+  const std::uint64_t r0 = array.total_reads(), w0 = array.total_writes();
+  const std::uint64_t rb0 = array.total_read_bytes();
+  const std::uint64_t wb0 = array.total_write_bytes();
+  IoResult res;
+  switch (call) {
+    case Call::kWriteBlock:
+      res = mig.write_block(target, in.span());
+      std::ranges::copy(in.span(), expect.begin());
+      break;
+    case Call::kFullRange:
+      res = mig.write_range(target, 0, in.span());
+      std::ranges::copy(in.span(), expect.begin());
+      break;
+    case Call::kSubRange:
+      res = mig.write_range(target, 256, in.span().subspan(0, 512));
+      std::ranges::copy(in.span().subspan(0, 512), expect.begin() + 256);
+      break;
+  }
+  const OnlineStats s1 = mig.stats();
+  const MigIo io{s1.app_reads - s0.app_reads,
+                 s1.app_writes - s0.app_writes,
+                 s1.degraded_writes - s0.degraded_writes,
+                 array.total_reads() - r0,
+                 array.total_writes() - w0,
+                 array.total_read_bytes() - rb0,
+                 array.total_write_bytes() - wb0};
+  EXPECT_TRUE(res.ok());
+  std::vector<std::uint8_t> got(kPinBlock);
+  EXPECT_TRUE(mig.read_block(target, got).ok());
+  EXPECT_EQ(got, expect);
+  if (state == MigState::kDone && cond == Condition::kHealthy) {
+    EXPECT_TRUE(mig.verify_raid6());
+  }
+  return io;
+}
+
+TEST(MigratorWriteIoPins, EveryCallStateAndCondition) {
+  std::size_t checked = 0;
+  for (int p : {5, 7}) {
+    for (MigState state : {kPreStart, kMidGroup, kDone}) {
+      for (Condition cond :
+           {kHealthy, kDataFailed, kHparFailed, kNewDiskFailed}) {
+        if (state == kPreStart && cond == kNewDiskFailed) continue;
+        for (Call call : {kWriteBlock, kFullRange, kSubRange}) {
+          const MigIo got = measure_mig_write(p, state, cond, call);
+          const auto it = std::find_if(
+              std::begin(kMigPins), std::end(kMigPins), [&](const MigPin& x) {
+                return x.p == p && x.state == state && x.cond == cond &&
+                       x.call == call;
+              });
+          const std::string where = "p=" + std::to_string(p) + " " +
+                                    name(state) + " " + name(cond) + " " +
+                                    name(call);
+          if (it == std::end(kMigPins)) {
+            ADD_FAILURE() << "no pin for " << where;
+            std::printf("    {%d, %s, %s, %s, {%llu, %llu, %llu, %llu, %llu, "
+                        "%llu, %llu}},\n",
+                        p, name(state), name(cond), name(call),
+                        static_cast<unsigned long long>(got.app_reads),
+                        static_cast<unsigned long long>(got.app_writes),
+                        static_cast<unsigned long long>(got.degraded_writes),
+                        static_cast<unsigned long long>(got.reads),
+                        static_cast<unsigned long long>(got.writes),
+                        static_cast<unsigned long long>(got.read_bytes),
+                        static_cast<unsigned long long>(got.write_bytes));
+            continue;
+          }
+          ++checked;
+          EXPECT_EQ(got.app_reads, it->io.app_reads) << where;
+          EXPECT_EQ(got.app_writes, it->io.app_writes) << where;
+          EXPECT_EQ(got.degraded_writes, it->io.degraded_writes) << where;
+          EXPECT_EQ(got.reads, it->io.reads) << where;
+          EXPECT_EQ(got.writes, it->io.writes) << where;
+          EXPECT_EQ(got.read_bytes, it->io.read_bytes) << where;
+          EXPECT_EQ(got.write_bytes, it->io.write_bytes) << where;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kMigPins));
+}
+
+// ---------------------------------------------------------------------
+// Application-path argument and fault handling.
+
+/// Every raw byte of every disk, for before/after comparison.
+std::vector<std::uint8_t> raw_image(const DiskArray& a) {
+  std::vector<std::uint8_t> img;
+  for (int d = 0; d < a.disks(); ++d) {
+    const auto col = a.raw_blocks(d, 0, a.blocks_per_disk());
+    img.insert(img.end(), col.begin(), col.end());
+  }
+  return img;
+}
+
+/// A write buffer that is not one block is rejected before any I/O: a
+/// short one must not be read past, and no parity may be rewritten for
+/// a data write that cannot happen.
+TEST(MigratorWriteFaults, WrongSizeWriteBufferThrowsBeforeAnyIo) {
+  const int p = 5, m = 4;
+  DiskArray array(m, 2LL * (p - 1), kBlock);
+  fill_raid5(array, m, 0x5B0);
+  OnlineMigrator mig(array, p);
+  mig.start();
+  mig.finish();
+  const std::vector<std::uint8_t> before = raw_image(array);
+  const std::uint64_t r0 = array.total_reads(), w0 = array.total_writes();
+  std::vector<std::uint8_t> big(2 * kBlock, 0xA5);
+  const std::span<const std::uint8_t> all(big);
+  EXPECT_THROW(mig.write_block(1, all.subspan(0, kBlock - 1)),
+               std::invalid_argument);
+  EXPECT_THROW(mig.write_block(1, all.subspan(0, kBlock + 1)),
+               std::invalid_argument);
+  EXPECT_THROW(mig.write_block(1, all.subspan(0, 0)), std::invalid_argument);
+  EXPECT_EQ(array.total_reads(), r0);
+  EXPECT_EQ(array.total_writes(), w0);
+  EXPECT_TRUE(raw_image(array) == before);
+  EXPECT_TRUE(mig.verify_raid6());
+}
+
+/// A read buffer that is not one block is rejected too, even when the
+/// block would be reconstructed (which writes a whole block's bytes).
+TEST(MigratorWriteFaults, WrongSizeReadBufferThrowsOnFailedDisk) {
+  const int p = 5, m = 4;
+  DiskArray array(m, 2LL * (p - 1), kBlock);
+  fill_raid5(array, m, 0x5B1);
+  OnlineMigrator mig(array, p);
+  array.fail_disk(logical_addr(0, m).disk);
+  const std::uint64_t r0 = array.total_reads();
+  // Exactly sized heap allocations, so an overrun is an ASan finding.
+  std::vector<std::uint8_t> small(kBlock - 1), large(kBlock + 1);
+  EXPECT_THROW(mig.read_block(0, small), std::invalid_argument);
+  EXPECT_THROW(mig.read_block(0, large), std::invalid_argument);
+  EXPECT_EQ(array.total_reads(), r0);
+  std::vector<std::uint8_t> got(kBlock);
+  EXPECT_TRUE(mig.read_block(0, got).ok());
+  EXPECT_EQ(mig.stats().reconstructed_reads, 1u);
+}
+
+/// A hard bad sector under a sub-block write's data range, or under its
+/// horizontal-parity range, costs one retry ladder and then a single
+/// row-XOR reconstruction; the bytes written match a fault-free run.
+TEST(MigratorWriteFaults, SubBlockBadSectorRunsOneRetryLadder) {
+  const int p = 5, m = 4;
+  RetryPolicy retry;
+  retry.max_attempts = 4;
+  retry.backoff_us = 5;
+  const std::uint64_t ladder_us = 5 + 10 + 20;
+  const Addr at = logical_addr(0, m);
+  const int hpar = p - 2;  // stripe row 0
+  for (const int bad_disk : {at.disk, hpar}) {
+    SCOPED_TRACE("bad sector on disk " + std::to_string(bad_disk));
+    DiskArray array(m, p - 1, kPinBlock), ref(m, p - 1, kPinBlock);
+    fill_raid5(array, m, 0x1AD);
+    fill_raid5(ref, m, 0x1AD);
+    OnlineMigrator mig(array, p), ref_mig(ref, p);
+    mig.set_retry_policy(retry);
+    FaultPlan plan;
+    plan.bad_blocks.push_back({.disk = bad_disk, .block = at.block});
+    array.set_fault_plan(plan);
+    Buffer in(512);
+    Rng(0x1AE).fill(in.data(), in.size());
+    ASSERT_TRUE(mig.write_range(0, 100, in.span()).ok());
+    ASSERT_TRUE(ref_mig.write_range(0, 100, in.span()).ok());
+    const OnlineStats s = mig.stats();
+    // One ladder on the bad range, m-1 reconstruction reads, and the
+    // healthy pre-read of the other range.
+    EXPECT_EQ(s.app_reads, static_cast<std::uint64_t>(retry.max_attempts) +
+                               static_cast<std::uint64_t>(m - 1) + 1);
+    EXPECT_EQ(s.retries, static_cast<std::uint64_t>(retry.max_attempts - 1));
+    EXPECT_EQ(s.backoff_us, ladder_us);
+    EXPECT_EQ(s.reconstructed_reads, 1u);
+    EXPECT_EQ(s.app_writes, 2u);
+    EXPECT_EQ(s.degraded_writes, 0u);
+    EXPECT_TRUE(raw_image(array) == raw_image(ref));
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 // step, a full-block range must be byte- AND I/O-count-identical to
 // the whole-block write path, and the online migrator's write_range
 // must honour the conversion watermark's trust domains (horizontal
-// parity only before start(), both families after finish()).
+// parity only before start(), both families after finish()), checked
+// against both a whole-block replay and a reference that recomputes
+// the RAID-5 rows and the Eq. 2 diagonals from raw blocks.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "layout/raid.hpp"
 #include "migration/controller.hpp"
 #include "migration/disk_array.hpp"
+#include "migration/journal.hpp"
 #include "migration/online.hpp"
 #include "util/rng.hpp"
 #include "xorblk/xor.hpp"
@@ -393,6 +396,64 @@ void expect_same_contents(DiskArray& a, DiskArray& b) {
   }
 }
 
+/// Every logical block's current bytes, read through the migrator.
+std::vector<std::uint8_t> logical_image(OnlineMigrator& mig) {
+  std::vector<std::uint8_t> img(
+      static_cast<std::size_t>(mig.logical_blocks()) * kBlock);
+  for (std::int64_t l = 0; l < mig.logical_blocks(); ++l) {
+    EXPECT_TRUE(mig.read_block(l, std::span(img).subspan(
+                                      static_cast<std::size_t>(l) * kBlock,
+                                      kBlock))
+                    .ok());
+  }
+  return img;
+}
+
+/// Mirror a sub-write into a flat image of the logical blocks.
+void patch(std::vector<std::uint8_t>& mirror, std::int64_t l, std::size_t off,
+           std::span<const std::uint8_t> in) {
+  std::ranges::copy(in, mirror.begin() + static_cast<std::ptrdiff_t>(
+                                             static_cast<std::size_t>(l) *
+                                                 kBlock +
+                                             off));
+}
+
+/// A reference that shares no code with the migrator's write path:
+/// every logical block reads back equal to `mirror`, every RAID-5 row's
+/// raw blocks XOR to zero, and every diagonal row of the groups below
+/// the conversion watermark equals its Eq. 2 chain recomputed here.
+/// Raw blocks of a failed disk are stale, so call with every disk
+/// healthy.
+void expect_matches_reference(const DiskArray& array, OnlineMigrator& mig,
+                              int p, const std::vector<std::uint8_t>& mirror) {
+  EXPECT_TRUE(logical_image(mig) == mirror) << "logical image diverged";
+  const int m = p - 1;
+  std::vector<std::uint8_t> acc(kBlock);
+  for (std::int64_t row = 0; row < array.blocks_per_disk(); ++row) {
+    std::ranges::fill(acc, 0);
+    for (int d = 0; d < m; ++d) {
+      xor_into(acc.data(), array.raw_block(d, row).data(), kBlock);
+    }
+    EXPECT_TRUE(all_zero(acc)) << "RAID-5 row " << row;
+  }
+  if (mig.new_disk() < 0) return;
+  for (std::int64_t g = 0; g < mig.groups_done(); ++g) {
+    for (int i = 0; i <= p - 2; ++i) {
+      // Diagonal row i: data cells (<i-1-j> mod p, j), j != i.
+      std::ranges::fill(acc, 0);
+      for (int j = 0; j <= p - 2; ++j) {
+        if (j == i) continue;
+        const int r = ((i - 1 - j) % p + p) % p;
+        xor_into(acc.data(), array.raw_block(j, g * (p - 1) + r).data(),
+                 kBlock);
+      }
+      EXPECT_TRUE(std::ranges::equal(
+          acc, array.raw_block(mig.new_disk(), g * (p - 1) + i)))
+          << "group " << g << " diagonal row " << i;
+    }
+  }
+}
+
 /// Before start() there is no diagonal column: a sub-block write may
 /// only touch the data range and the horizontal parity, byte-identical
 /// to the whole-block application path.
@@ -402,6 +463,7 @@ TEST(MigratorPartialWrite, PreStartUpdatesHorizontalOnly) {
   fill_raid5(a, m, 0x5EED);
   fill_raid5(b, m, 0x5EED);
   OnlineMigrator sub(a, p), ref(b, p);
+  std::vector<std::uint8_t> mirror = logical_image(sub);
   Rng rng(0x714);
   Buffer scratch(kBlock);
   for (int op = 0; op < 60; ++op) {
@@ -413,9 +475,11 @@ TEST(MigratorPartialWrite, PreStartUpdatesHorizontalOnly) {
     ASSERT_TRUE(
         sub.write_range(l, off, scratch.span().subspan(0, len)).ok());
     apply_mig_ref(ref, l, off, scratch.span().subspan(0, len));
+    patch(mirror, l, off, scratch.span().subspan(0, len));
     if (op % 15 == 14) expect_same_contents(a, b);
   }
   expect_same_contents(a, b);
+  expect_matches_reference(a, sub, p, mirror);
 }
 
 /// After finish() every diagonal chain is generated (kBothFamilies):
@@ -433,6 +497,7 @@ TEST(MigratorPartialWrite, PostFinishUpdatesBothFamilies) {
   ref.finish();
   ASSERT_EQ(sub.state(), MigrationState::kDone);
   ASSERT_EQ(ref.state(), MigrationState::kDone);
+  std::vector<std::uint8_t> mirror = logical_image(sub);
   Rng rng(0x715);
   Buffer scratch(kBlock);
   for (int op = 0; op < 60; ++op) {
@@ -444,10 +509,12 @@ TEST(MigratorPartialWrite, PostFinishUpdatesBothFamilies) {
     ASSERT_TRUE(
         sub.write_range(l, off, scratch.span().subspan(0, len)).ok());
     apply_mig_ref(ref, l, off, scratch.span().subspan(0, len));
+    patch(mirror, l, off, scratch.span().subspan(0, len));
   }
   expect_same_contents(a, b);
   EXPECT_TRUE(sub.verify_raid6());
   EXPECT_TRUE(ref.verify_raid6());
+  expect_matches_reference(a, sub, p, mirror);
 }
 
 /// Sub-block writes racing the conversion workers: timing decides which
@@ -485,6 +552,7 @@ TEST(MigratorPartialWrite, ConcurrentWithConversionStaysConsistent) {
   mig.finish();
   ASSERT_EQ(mig.state(), MigrationState::kDone);
   EXPECT_TRUE(mig.verify_raid6());
+  expect_matches_reference(a, mig, p, mirror);
   for (std::int64_t l = 0; l < total; ++l) {
     ASSERT_TRUE(mig.read_block(l, tmp.span()).ok());
     ASSERT_TRUE(std::equal(
@@ -502,6 +570,7 @@ TEST(MigratorPartialWrite, DegradedDataDiskDeltasParityOnly) {
   fill_raid5(a, m, 0xDE6);
   fill_raid5(b, m, 0xDE6);
   OnlineMigrator sub(a, p), ref(b, p);
+  std::vector<std::uint8_t> mirror = logical_image(sub);
   a.fail_disk(2);
   b.fail_disk(2);
   Rng rng(0x717);
@@ -515,13 +584,79 @@ TEST(MigratorPartialWrite, DegradedDataDiskDeltasParityOnly) {
     ASSERT_TRUE(
         sub.write_range(l, off, scratch.span().subspan(0, len)).ok());
     apply_mig_ref(ref, l, off, scratch.span().subspan(0, len));
+    patch(mirror, l, off, scratch.span().subspan(0, len));
   }
   expect_same_contents(a, b);
   EXPECT_GT(sub.stats().degraded_writes, 0u);
+  // Reads reconstruct the lost column's blocks from the updated parity.
+  EXPECT_TRUE(logical_image(sub) == mirror);
   // The lost column must be reconstructible from the updated parity.
   EXPECT_EQ(sub.rebuild_failed_disks(), a.blocks_per_disk());
   EXPECT_EQ(ref.rebuild_failed_disks(), b.blocks_per_disk());
   expect_same_contents(a, b);
+  expect_matches_reference(a, sub, p, mirror);
+}
+
+/// Journal sink that asks `mig` to stop at its `limit`-th checkpoint.
+class StopAtCheckpoint final : public CheckpointSink {
+ public:
+  StopAtCheckpoint(OnlineMigrator& mig, int limit) : mig_(mig), left_(limit) {}
+  void write_slot(int slot, std::span<const std::uint8_t> bytes) override {
+    inner_.write_slot(slot, bytes);
+    if (--left_ == 0) mig_.request_stop();
+  }
+  std::vector<std::uint8_t> read_slot(int slot) override {
+    return inner_.read_slot(slot);
+  }
+
+ private:
+  OnlineMigrator& mig_;
+  int left_;
+  MemoryCheckpointSink inner_;
+};
+
+/// A migration stopped mid-way holds both trust domains at once: groups
+/// below the watermark carry a valid diagonal column, the rest only the
+/// RAID-5 rows. Sub-block and whole-block writes must keep both, and the
+/// resumed conversion must end in a valid RAID-6 holding the mirror.
+TEST(MigratorPartialWrite, StoppedMidMigrationKeepsBothTrustDomains) {
+  const int p = 5, m = p - 1;
+  DiskArray a(m, 12 * (p - 1), kBlock);
+  fill_raid5(a, m, 0x5709);
+  OnlineMigrator mig(a, p);
+  std::vector<std::uint8_t> mirror = logical_image(mig);
+  // start() journals once and each group p times (one per diagonal row,
+  // one watermark advance): the 4p + 3rd checkpoint is group 4, row 2.
+  StopAtCheckpoint sink(mig, 4 * p + 3);
+  mig.attach_journal(sink);
+  mig.set_workers(1);  // the checkpoint count assumes one worker
+  mig.start();
+  mig.finish();
+  ASSERT_EQ(mig.state(), MigrationState::kStopped);
+  ASSERT_EQ(mig.groups_done(), 4);
+  Rng rng(0x718);
+  Buffer scratch(kBlock);
+  for (int op = 0; op < 200; ++op) {
+    const auto l = static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(mig.logical_blocks())));
+    const bool whole = op % 4 == 0;
+    const auto off =
+        whole ? 0 : static_cast<std::size_t>(rng.next_below(kBlock));
+    const auto len =
+        whole ? kBlock
+              : 1 + static_cast<std::size_t>(rng.next_below(kBlock - off));
+    rng.fill(scratch.data(), len);
+    const auto in = scratch.span().subspan(0, len);
+    ASSERT_TRUE((whole ? mig.write_block(l, in) : mig.write_range(l, off, in))
+                    .ok());
+    patch(mirror, l, off, in);
+  }
+  expect_matches_reference(a, mig, p, mirror);
+  mig.resume();
+  mig.finish();
+  ASSERT_EQ(mig.state(), MigrationState::kDone);
+  EXPECT_TRUE(mig.verify_raid6());
+  expect_matches_reference(a, mig, p, mirror);
 }
 
 /// Validation: out-of-block ranges throw, zero length is a counted

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "layout/raid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
@@ -438,6 +439,58 @@ TEST(Service, MigratorVolumeConvertsMidTraffic) {
     mgr.drain();
     EXPECT_EQ(got, mirror[static_cast<std::size_t>(l)]) << "block " << l;
   }
+}
+
+// A sub-block read on a migrator volume reads only its range off a
+// healthy disk, and reconstructs through the horizontal parity when the
+// block's data disk is failed.
+TEST(Service, MigratorVolumeReadRangeMovesOnlyTheRange) {
+  svc::VolumeManager mgr(manual_config(1));
+  const std::size_t bs = 512;
+  const svc::VolumeId id = mgr.create_raid5_volume(5, 2, bs);
+  svc::Volume* vol = mgr.volume(id);
+  ASSERT_NE(vol->migrator(), nullptr);
+  const std::int64_t l = 5;
+  const std::vector<std::uint8_t> data = pattern(bs, 0x7E5);
+  Request w;
+  w.kind = OpKind::kWrite;
+  w.volume = id;
+  w.logical = l;
+  w.in = {data.data(), bs};
+  ASSERT_EQ(mgr.submit(w), Status::kOk);
+  mgr.drain();
+
+  const std::int64_t off = 100;
+  const std::size_t len = 64;
+  const auto read_range = [&] {
+    std::vector<std::uint8_t> part(len);
+    Request r;
+    r.kind = OpKind::kReadRange;
+    r.volume = id;
+    r.logical = l;
+    r.offset = off;
+    r.out = {part.data(), len};
+    Status st = Status::kIoError;
+    r.on_complete = [&st](const svc::Completion& c) { st = c.status; };
+    EXPECT_EQ(mgr.submit(r), Status::kOk);
+    mgr.drain();
+    EXPECT_EQ(st, Status::kOk);
+    EXPECT_TRUE(std::memcmp(part.data(), data.data() + off, len) == 0);
+  };
+  mig::DiskArray& array = vol->array();
+  std::uint64_t before = array.total_read_bytes();
+  read_range();
+  EXPECT_EQ(array.total_read_bytes() - before, len);
+
+  // Logical 5 of p = 5 (m = 4): stripe row 1, first data disk.
+  const int m = 4;
+  array.fail_disk(raid5_data_disk(Raid5Flavor::kLeftAsymmetric,
+                                  static_cast<int>((l / (m - 1)) % m),
+                                  static_cast<int>(l % (m - 1)), m));
+  before = array.total_read_bytes();
+  read_range();
+  EXPECT_EQ(array.total_read_bytes() - before, (m - 1) * bs);
+  EXPECT_EQ(vol->migrator()->stats().reconstructed_reads, 1u);
 }
 
 TEST(Service, MetricsExportCarriesVolumeTenantShardLabels) {
