@@ -7,6 +7,7 @@
 
 #include "codes/code56.hpp"
 #include "codes/registry.hpp"
+#include "gf2/chain_solver.hpp"
 #include "util/rng.hpp"
 #include "xorblk/buffer.hpp"
 
@@ -70,12 +71,18 @@ void BM_HybridSingleRecovery(benchmark::State& state, bool hybrid) {
   const int p = static_cast<int>(state.range(0));
   c56::Code56 code(p);
   const c56::Buffer original = encoded_stripe(code, 3);
+  const std::vector<int> lost =
+      code.erased_cells_of_columns(std::vector<int>{1});
   for (auto _ : state) {
     c56::Buffer work = original;
     c56::StripeView v =
         c56::StripeView::over(work, code.rows(), code.cols(), kBlockSize);
-    auto stats = hybrid ? code.recover_single_column_hybrid(v, 1)
-                        : code.recover_single_column_plain(v, 1);
+    const auto recipes =
+        hybrid ? c56::plan_repair(code.cell_count(), code.chain_specs(), lost,
+                                  lost)
+                     ->recipes
+               : *code.solve_cells(lost);
+    auto stats = c56::ErasureCode::apply_recipes(v, recipes);
     benchmark::DoNotOptimize(stats.cells_read);
   }
   state.SetLabel(hybrid ? "hybrid" : "plain");

@@ -1,15 +1,15 @@
 // Degraded-mode read amplification per code: with one failed disk, how
 // many surviving blocks must be fetched to serve a read of a lost
 // block? Reported per code as the average and worst recipe size over
-// every (failed disk, lost cell) pair, plus Code 5-6's whole-disk
-// hybrid rebuild (Section III-E(4)) for contrast with per-block
-// reconstruction.
+// every (failed disk, lost cell) pair, plus each code's whole-disk
+// rebuild through plan_repair (Section III-E(4)'s hybrid chain choice)
+// for contrast with per-block reconstruction.
 
 #include <cstdio>
 #include <sstream>
 
-#include "codes/code56.hpp"
 #include "codes/registry.hpp"
+#include "gf2/chain_solver.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -42,28 +42,29 @@ int main() {
   std::fputs(os.str().c_str(), stdout);
 
   std::printf(
-      "\nWhole-disk rebuild reads per stripe (Code 5-6, plain vs hybrid "
-      "schedule):\n\n");
-  c56::TextTable t2({"p", "plain", "hybrid", "saved"});
-  constexpr std::size_t kBlock = 64;
-  for (int p : {5, 7, 11, 13}) {
-    c56::Code56 code(p);
-    c56::Buffer buf(static_cast<std::size_t>(code.cell_count()) * kBlock);
-    c56::StripeView v =
-        c56::StripeView::over(buf, code.rows(), code.cols(), kBlock);
-    code.encode(v);
-    c56::Buffer w1 = buf, w2 = buf;
-    c56::StripeView s1 =
-        c56::StripeView::over(w1, code.rows(), code.cols(), kBlock);
-    c56::StripeView s2 =
-        c56::StripeView::over(w2, code.rows(), code.cols(), kBlock);
-    const auto plain = code.recover_single_column_plain(s1, 0);
-    const auto hybrid = code.recover_single_column_hybrid(s2, 0);
-    t2.add_row({std::to_string(p), std::to_string(plain.cells_read),
-                std::to_string(hybrid.cells_read),
-                c56::TextTable::pct(
-                    1.0 - static_cast<double>(hybrid.cells_read) /
-                              plain.cells_read)});
+      "\nWhole-disk rebuild reads per stripe, averaged over every failed "
+      "disk (per-cell recipes vs the chain-choice plan rebuilds use):\n\n");
+  c56::TextTable t2({"code", "p", "per-cell", "planned", "saved"});
+  for (c56::CodeId id : c56::all_code_ids()) {
+    for (int p : {5, 7}) {
+      auto code = c56::make_code(id, p);
+      double per_cell = 0, planned = 0;
+      for (int disk = 0; disk < code->cols(); ++disk) {
+        const std::vector<int> lost =
+            code->erased_cells_of_columns(std::vector<int>{disk});
+        const auto recipes = code->solve_cells(lost);
+        for (const auto& r : *recipes) {
+          per_cell += static_cast<double>(r.sources.size());
+        }
+        const auto plan = c56::plan_repair(
+            code->cell_count(), code->chain_specs(), lost, lost);
+        planned += static_cast<double>(plan->reads.size());
+      }
+      t2.add_row({to_string(id), std::to_string(p),
+                  c56::TextTable::fmt(per_cell / code->cols(), 2),
+                  c56::TextTable::fmt(planned / code->cols(), 2),
+                  c56::TextTable::pct(1.0 - planned / per_cell)});
+    }
   }
   std::ostringstream os2;
   t2.print(os2);

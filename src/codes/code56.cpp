@@ -1,13 +1,9 @@
 #include "codes/code56.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 
-#include "codes/peeling.hpp"
 #include "util/prime.hpp"
-#include "xorblk/xor.hpp"
 
 namespace c56 {
 
@@ -104,142 +100,6 @@ bool Code56::matches_raid5_flavor(Raid5Flavor f) const {
     if (kind({row, parity_col}) != CellKind::kRowParity) return false;
   }
   return true;
-}
-
-namespace {
-
-struct RecoveryOption {
-  std::vector<int> sources;  // surviving flat cells XORed to restore it
-};
-
-}  // namespace
-
-DecodeStats Code56::recover_single_column_hybrid(StripeView s, int col) const {
-  assert(col >= 0 && col <= p_ - 2 && "hybrid recovery targets a square column");
-  // Collect, per lost cell, its candidate chains (1 for the horizontal
-  // parity cell, 2 for data cells).
-  std::vector<int> lost;
-  std::vector<std::vector<RecoveryOption>> options;
-  const auto& specs = chain_specs();
-  for (int r = 0; r < rows(); ++r) {
-    const Cell c{r, col};
-    if (kind(c) == CellKind::kVirtual) {
-      std::ranges::fill(s.block(c), std::uint8_t{0});
-      continue;
-    }
-    const int flat = flat_index(c, cols());
-    std::vector<RecoveryOption> opts;
-    for (const ChainSpec& spec : specs) {
-      if (std::ranges::find(spec.cells, flat) == spec.cells.end()) continue;
-      RecoveryOption o;
-      for (int cell : spec.cells) {
-        if (cell != flat) o.sources.push_back(cell);
-      }
-      opts.push_back(std::move(o));
-    }
-    assert(!opts.empty());
-    lost.push_back(flat);
-    options.push_back(std::move(opts));
-  }
-
-  const std::size_t k = lost.size();
-  auto union_size = [&](const std::vector<int>& choice) {
-    std::set<int> u;
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto& src = options[i][static_cast<std::size_t>(choice[i])].sources;
-      u.insert(src.begin(), src.end());
-    }
-    return u.size();
-  };
-
-  std::vector<int> best(k, 0);
-  std::size_t best_reads = union_size(best);
-  auto consider = [&](const std::vector<int>& choice) {
-    const std::size_t reads = union_size(choice);
-    if (reads < best_reads) {
-      best_reads = reads;
-      best = choice;
-    }
-  };
-
-  if (k > 0 && p_ <= 13) {
-    // Exhaustive search over per-cell chain choices (<= 2^(p-2) states).
-    std::vector<int> choice(k, 0);
-    while (true) {
-      consider(choice);
-      std::size_t i = 0;
-      while (i < k) {
-        if (++choice[i] < static_cast<int>(options[i].size())) break;
-        choice[i] = 0;
-        ++i;
-      }
-      if (i == k) break;
-    }
-  } else {
-    // Balanced prefix splits: first t data cells (by row) via their
-    // second (diagonal) chain, the rest via the horizontal chain.
-    for (std::size_t t = 0; t <= k; ++t) {
-      std::vector<int> choice(k, 0);
-      std::size_t flipped = 0;
-      for (std::size_t i = 0; i < k && flipped < t; ++i) {
-        if (options[i].size() > 1) {
-          choice[i] = 1;
-          ++flipped;
-        }
-      }
-      consider(choice);
-    }
-  }
-
-  DecodeStats stats;
-  stats.cells_read = best_reads;
-  std::vector<const std::uint8_t*> srcs;
-  for (std::size_t i = 0; i < k; ++i) {
-    srcs.clear();
-    for (int src : options[i][static_cast<std::size_t>(best[i])].sources) {
-      srcs.push_back(s.block(src).data());
-      ++stats.xor_ops;
-    }
-    xor_accumulate(s.block(lost[i]), srcs);
-  }
-  return stats;
-}
-
-DecodeStats Code56::recover_single_column_plain(StripeView s, int col) const {
-  assert(col >= 0 && col <= p_ - 2);
-  DecodeStats stats;
-  std::set<int> reads;
-  const auto& all = chains();
-  for (int r = 0; r < rows(); ++r) {
-    const Cell c{r, col};
-    if (kind(c) == CellKind::kVirtual) {
-      std::ranges::fill(s.block(c), std::uint8_t{0});
-      continue;
-    }
-    // Use the horizontal chain of row r (every non-virtual cell of a
-    // square column belongs to exactly one).
-    const ParityChain* row_chain = nullptr;
-    for (const ParityChain& ch : all) {
-      if (ch.parity.col == p_ - 1) continue;
-      if (ch.parity.row == r) {
-        row_chain = &ch;
-        break;
-      }
-    }
-    assert(row_chain != nullptr);
-    std::vector<const std::uint8_t*> srcs;
-    auto use = [&](Cell src) {
-      if (src == c) return;
-      srcs.push_back(s.block(src).data());
-      ++stats.xor_ops;
-      reads.insert(flat_index(src, cols()));
-    };
-    if (row_chain->parity != c) use(row_chain->parity);
-    for (Cell in : row_chain->inputs) use(in);
-    xor_accumulate(s.block(c), srcs);
-  }
-  stats.cells_read = reads.size();
-  return stats;
 }
 
 }  // namespace c56

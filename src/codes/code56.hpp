@@ -23,11 +23,8 @@
 //    (logically zero, not stored);
 //  * the mirrored layout of Fig. 7 for right-symmetric/asymmetric
 //    RAID-5 sources;
-//  * Algorithm 1 as a chain-peeling decoder plus the hybrid single-disk
-//    recovery of Section III-E(4) that trades horizontal for diagonal
-//    chains to minimize distinct reads.
-
-#include <optional>
+//  * Algorithm 1 as a chain-peeling decoder (Section III-E(4)'s hybrid
+//    single-disk recovery is the code-generic plan_repair).
 
 #include "codes/erasure_code.hpp"
 #include "layout/raid.hpp"
@@ -72,17 +69,6 @@ class Code56 final : public ErasureCode {
   /// the given flavor to be reusable as this code's horizontal parity.
   /// Returns true iff the flavor matches this orientation.
   bool matches_raid5_flavor(Raid5Flavor f) const;
-
-  /// Hybrid single-disk recovery (Section III-E(4)): recover one failed
-  /// data column choosing per-cell between its horizontal and diagonal
-  /// chain so that the number of distinct surviving blocks read is
-  /// minimized (exhaustive choice search for p <= 13, balanced split
-  /// heuristic above). Returns stats; the plain all-horizontal recovery
-  /// reads (p-1)(p-2) cells, the hybrid strictly fewer for p >= 5.
-  DecodeStats recover_single_column_hybrid(StripeView s, int col) const;
-
-  /// Reads needed by the conventional (all-horizontal) recovery.
-  DecodeStats recover_single_column_plain(StripeView s, int col) const;
 
  protected:
   std::vector<ParityChain> build_chains() const override;

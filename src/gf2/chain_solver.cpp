@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "gf2/bitmatrix.hpp"
 
@@ -86,6 +87,109 @@ std::optional<std::vector<RecoveryRecipe>> solve_erasures(
     std::sort(rec.sources.begin(), rec.sources.end());
   }
   return recipes;
+}
+
+std::optional<RepairPlan> plan_repair(int num_cells,
+                                      std::span<const ChainSpec> chains,
+                                      std::span<const int> erased,
+                                      std::span<const int> targets) {
+  std::vector<char> lost(static_cast<std::size_t>(num_cells), 0);
+  for (int c : erased) lost[static_cast<std::size_t>(c)] = 1;
+  // Per target, the other cells of each chain through it that holds no
+  // other erased cell.
+  const std::size_t k = targets.size();
+  std::vector<std::vector<std::vector<int>>> options(k);
+  bool all_free = true;
+  for (std::size_t i = 0; i < k; ++i) {
+    const int t = targets[i];
+    assert(lost[static_cast<std::size_t>(t)] && "target not erased");
+    for (const ChainSpec& ch : chains) {
+      if (std::ranges::find(ch.cells, t) == ch.cells.end()) continue;
+      std::vector<int> others;
+      std::ranges::copy_if(ch.cells, std::back_inserter(others),
+                           [t](int c) { return c != t; });
+      if (std::ranges::none_of(others, [&](int c) {
+            return lost[static_cast<std::size_t>(c)];
+          })) {
+        options[i].push_back(std::move(others));
+      }
+    }
+    all_free = all_free && !options[i].empty();
+  }
+
+  RepairPlan plan;
+  plan.recipes.resize(k);
+  if (!all_free) {
+    auto solved = solve_erasures(num_cells, chains, erased);
+    if (!solved) return std::nullopt;
+    for (std::size_t i = 0; i < k; ++i) {
+      plan.recipes[i] = *std::ranges::find(*solved, targets[i],
+                                           &RecoveryRecipe::target);
+    }
+  } else {
+    // uses[c] = chosen chains reading cell c; reads = cells with uses > 0.
+    std::vector<int> uses(static_cast<std::size_t>(num_cells), 0);
+    std::vector<std::size_t> choice(k, 0);
+    long reads = 0;
+    const auto take = [&](std::size_t i, int delta) {
+      for (int c : options[i][choice[i]]) {
+        int& u = uses[static_cast<std::size_t>(c)];
+        if (delta > 0 ? u++ == 0 : --u == 0) reads += delta;
+      }
+    };
+    const auto set = [&](std::size_t i, std::size_t o) {
+      take(i, -1);
+      choice[i] = o;
+      take(i, +1);
+    };
+    for (std::size_t i = 0; i < k; ++i) take(i, +1);
+    std::vector<std::size_t> best = choice;
+    long best_reads = reads;
+    double states = 1;
+    for (const auto& o : options) states *= static_cast<double>(o.size());
+    if (states <= 65536) {  // 2^16: exhaustive
+      // Odometer over every choice vector, one digit change at a time.
+      for (;;) {
+        std::size_t i = 0;
+        while (i < k && choice[i] + 1 == options[i].size()) set(i++, 0);
+        if (i == k) break;
+        set(i, choice[i] + 1);
+        if (reads < best_reads) {
+          best_reads = reads;
+          best = choice;
+        }
+      }
+    } else {
+      // Greedy descent: move one target at a time while that helps.
+      for (bool improved = true; improved;) {
+        improved = false;
+        for (std::size_t i = 0; i < k; ++i) {
+          for (std::size_t o = 0; o < options[i].size(); ++o) {
+            const std::size_t was = choice[i];
+            set(i, o);
+            if (reads < best_reads) {
+              best_reads = reads;
+              improved = true;
+            } else {
+              set(i, was);
+            }
+          }
+        }
+      }
+      best = choice;
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      plan.recipes[i] = {targets[i], options[i][best[i]]};
+      std::ranges::sort(plan.recipes[i].sources);
+    }
+  }
+  for (const RecoveryRecipe& rec : plan.recipes) {
+    plan.reads.insert(plan.reads.end(), rec.sources.begin(), rec.sources.end());
+  }
+  std::ranges::sort(plan.reads);
+  plan.reads.erase(std::unique(plan.reads.begin(), plan.reads.end()),
+                   plan.reads.end());
+  return plan;
 }
 
 }  // namespace c56

@@ -39,4 +39,23 @@ std::optional<std::vector<RecoveryRecipe>> solve_erasures(
     int num_cells, std::span<const ChainSpec> chains,
     std::span<const int> erased);
 
+/// A rebuild recipe set: one recipe per target plus the cells they read.
+struct RepairPlan {
+  std::vector<RecoveryRecipe> recipes;  // same order as `targets`
+  std::vector<int> reads;  // sorted, distinct surviving cells read
+};
+
+/// Plan the reconstruction of `targets`, a subset of `erased`. Each
+/// target whose chains include one free of every other erased cell takes
+/// the free chain that keeps `reads` smallest: an exhaustive search
+/// while the choice space has at most 2^16 states, else greedy
+/// single-target descent from every target's first free chain. When some
+/// target has no free chain (a multi-column failure that must combine
+/// chains), every target takes its solve_erasures recipe. Returns nullopt
+/// when the erasure pattern is not decodable. Chains list each cell once.
+std::optional<RepairPlan> plan_repair(int num_cells,
+                                      std::span<const ChainSpec> chains,
+                                      std::span<const int> erased,
+                                      std::span<const int> targets);
+
 }  // namespace c56

@@ -859,27 +859,22 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
   if (!failed_.count(disk)) {
     throw std::invalid_argument("rebuild_disk: disk is not failed");
   }
-  const int col = col_of(disk);
-  const int rows = code_->rows();
-  const std::size_t bs = array_.block_bytes();
-  std::int64_t rebuilt = 0;
-  PooledBuffer colbuf(static_cast<std::size_t>(rows) * bs);
-  std::vector<CellWrite> wr;
+  std::vector<int> cols;
+  for (int d : failed_) cols.push_back(col_of(d));
+  const std::vector<int> lost = code_->erased_cells_of_columns(cols);
+  const std::vector<int> targets =
+      code_->erased_cells_of_columns(std::vector<int>{col_of(disk)});
+  const auto plan =
+      plan_repair(code_->cell_count(), code_->chain_specs(), lost, targets);
+  if (!plan) throw std::runtime_error("failure pattern is not decodable");
   for (std::int64_t s = 0; s < stripes_; ++s) {
     std::lock_guard sl(stripe_lock(s));
-    wr.clear();
-    for (int r = 0; r < rows; ++r) {
-      const Cell c{r, col};
-      if (kind_[static_cast<std::size_t>(flat_of(c))] == CellKind::kVirtual) {
-        continue;
-      }
-      const auto dst = colbuf.block(static_cast<std::size_t>(r), bs);
-      reconstruct_cell(s, c, dst);
-      wr.push_back({c, 0, bs, dst.data()});
-      ++rebuilt;
-    }
-    write_cells(s, wr);
+    const IoResult r = rebuild_stripes(array_, *code_, virtual_cols_, *plan,
+                                       s, 1, RetryPolicy{}, nullptr);
+    if (!r.ok()) throw_io("rebuild failed", r);
   }
+  const std::int64_t rebuilt =
+      stripes_ * static_cast<std::int64_t>(targets.size());
   failed_.erase(disk);
   // The rebuild both changes the recovery recipes for any later failure
   // and rewrites the array underneath previously cached logical values

@@ -178,7 +178,12 @@ class ArrayController {
   bool failed(int disk) const;
   int failed_count() const { return static_cast<int>(failed_.size()); }
   /// Reconstruct every block of a failed disk in place and mark it
-  /// healthy again. Returns blocks rebuilt.
+  /// healthy again. Returns blocks rebuilt. One plan_repair plan (every
+  /// failed disk's cells erased, this disk's cells the targets) picks
+  /// the chains that keep each stripe's surviving reads fewest: 9 per
+  /// stripe for a Code 5-6 data disk at p = 5, not 12. rebuild_stripes
+  /// runs it stripe by stripe under the stripe lock; throws if an I/O
+  /// fails after its retries.
   std::int64_t rebuild_disk(int disk);
 
   /// Verify every stripe; returns the indices of inconsistent stripes.

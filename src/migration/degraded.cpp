@@ -1,7 +1,10 @@
 #include "migration/degraded.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "xorblk/buffer.hpp"
@@ -23,67 +26,90 @@ bool transient(IoStatus s) {
   return s == IoStatus::kSectorError || s == IoStatus::kTornWrite;
 }
 
+// Issues `io` until it succeeds, fails for good, or runs out of
+// attempts; every attempt bumps counters->*issued.
+template <class Io>
+IoResult with_retry(const RetryPolicy& policy, IoCounters* counters,
+                    std::uint64_t IoCounters::*issued, Io&& io) {
+  for (int attempt = 1;; ++attempt) {
+    const IoResult r = io();
+    if (counters) ++(counters->*issued);
+    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
+      return r;
+    }
+    if (counters) ++counters->retries;
+    backoff(policy, attempt, counters);
+  }
+}
+
+// The copies of some cells in stripes [first, first + count), laid out
+// in disk order so that every run of consecutive blocks on one disk is
+// one contiguous range of slots. Cell i of stripe first + s sits in
+// slot[s * cells.size() + i].
+struct BatchCells {
+  struct Run {
+    int disk;
+    std::int64_t block, n;
+    std::size_t slot;
+  };
+  std::vector<std::size_t> slot;
+  std::vector<Run> runs;
+
+  BatchCells(std::span<const int> cells, const ErasureCode& code,
+             int virtual_cols, std::int64_t first, std::int64_t count) {
+    std::vector<std::pair<int, std::int64_t>> at;  // (disk, block)
+    for (std::int64_t s = first; s < first + count; ++s) {
+      for (int c : cells) {
+        at.emplace_back(c % code.cols() - virtual_cols,
+                        s * code.rows() + c / code.cols());
+      }
+    }
+    std::vector<std::size_t> order(at.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::sort(order, {}, [&](std::size_t x) { return at[x]; });
+    slot.resize(at.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const auto [disk, block] = at[order[k]];
+      slot[order[k]] = k;
+      if (!runs.empty() && runs.back().disk == disk &&
+          runs.back().block + runs.back().n == block) {
+        ++runs.back().n;
+      } else {
+        runs.push_back({disk, block, 1, k});
+      }
+    }
+  }
+};
+
 }  // namespace
 
 IoResult read_block_retry(DiskArray& a, int disk, std::int64_t block,
                           std::span<std::uint8_t> out,
                           const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.read_block(disk, block, out);
-    if (counters) ++counters->reads;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return with_retry(policy, counters, &IoCounters::reads,
+                    [&] { return a.read_block(disk, block, out); });
 }
 
 IoResult write_block_retry(DiskArray& a, int disk, std::int64_t block,
                            std::span<const std::uint8_t> in,
                            const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.write_block(disk, block, in);
-    if (counters) ++counters->writes;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return with_retry(policy, counters, &IoCounters::writes,
+                    [&] { return a.write_block(disk, block, in); });
 }
 
 IoResult read_range_retry(DiskArray& a, int disk, std::int64_t block,
                           std::size_t offset, std::span<std::uint8_t> out,
                           const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.read_range(disk, block, offset, out);
-    if (counters) ++counters->reads;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return with_retry(policy, counters, &IoCounters::reads,
+                    [&] { return a.read_range(disk, block, offset, out); });
 }
 
 IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
                            std::size_t offset,
                            std::span<const std::uint8_t> in,
                            const RetryPolicy& policy, IoCounters* counters) {
-  IoResult r;
-  for (int attempt = 1;; ++attempt) {
-    r = a.write_range(disk, block, offset, in);
-    if (counters) ++counters->writes;
-    if (r.ok() || !transient(r.status) || attempt >= policy.max_attempts) {
-      return r;
-    }
-    if (counters) ++counters->retries;
-    backoff(policy, attempt, counters);
-  }
+  return with_retry(policy, counters, &IoCounters::writes,
+                    [&] { return a.write_range(disk, block, offset, in); });
 }
 
 IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
@@ -112,6 +138,63 @@ IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
   xor_accumulate(out.data(), reinterpret_cast<const void* const*>(srcs),
                  sources.size(), bs);
   return IoResult::success();
+}
+
+IoResult rebuild_stripes(DiskArray& a, const ErasureCode& code,
+                         int virtual_cols, const RepairPlan& plan,
+                         std::int64_t first, std::int64_t count,
+                         const RetryPolicy& policy, IoCounters* counters) {
+  const std::size_t bs = a.block_bytes();
+  std::vector<int> targets;
+  for (const RecoveryRecipe& r : plan.recipes) targets.push_back(r.target);
+  const BatchCells in(plan.reads, code, virtual_cols, first, count);
+  const BatchCells out(targets, code, virtual_cols, first, count);
+  PooledBuffer src(in.slot.size() * bs), dst(out.slot.size() * bs);
+  // One call per run. Reads are idempotent and a rewrite repairs a torn
+  // block, so a faulted run is redone block by block with retries.
+  const auto run_io = [&](const BatchCells& cells, PooledBuffer& mem,
+                          bool write) {
+    for (const BatchCells::Run& r : cells.runs) {
+      const auto buf = mem.span().subspan(r.slot * bs,
+                                          static_cast<std::size_t>(r.n) * bs);
+      if (counters) {
+        (write ? counters->writes : counters->reads) +=
+            static_cast<std::uint64_t>(r.n);
+      }
+      if ((write ? a.write_blocks(r.disk, r.block, r.n, buf)
+                 : a.read_blocks(r.disk, r.block, r.n, buf))
+              .ok()) {
+        continue;
+      }
+      for (std::int64_t b = 0; b < r.n; ++b) {
+        const auto one = buf.subspan(static_cast<std::size_t>(b) * bs, bs);
+        const IoResult res =
+            write ? write_block_retry(a, r.disk, r.block + b, one, policy,
+                                      counters)
+                  : read_block_retry(a, r.disk, r.block + b, one, policy,
+                                     counters);
+        if (!res.ok()) return res;
+      }
+    }
+    return IoResult::success();
+  };
+  if (const IoResult r = run_io(in, src, false); !r.ok()) return r;
+
+  const std::size_t nr = plan.reads.size(), nt = targets.size();
+  std::vector<const void*> srcs;
+  for (std::size_t s = 0; s < static_cast<std::size_t>(count); ++s) {
+    for (std::size_t t = 0; t < nt; ++t) {
+      srcs.clear();
+      for (int c : plan.recipes[t].sources) {
+        const auto i = static_cast<std::size_t>(
+            std::ranges::lower_bound(plan.reads, c) - plan.reads.begin());
+        srcs.push_back(src.data() + in.slot[s * nr + i] * bs);
+      }
+      xor_accumulate(dst.data() + out.slot[s * nt + t] * bs, srcs.data(),
+                     srcs.size(), bs);
+    }
+  }
+  return run_io(out, dst, true);
 }
 
 }  // namespace c56::mig

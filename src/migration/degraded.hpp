@@ -4,11 +4,13 @@
 // on reads, torn writes) and reconstruct-by-XOR-chain reads. The RAID
 // controller's recipe-driven reconstruction and the online migrator's
 // RAID-5 row reconstruction are both expressed through xor_chain_read,
-// so there is exactly one reconstruct-on-read code path.
+// so there is exactly one reconstruct-on-read code path; both rebuild
+// whole disks through rebuild_stripes.
 
 #include <cstdint>
 #include <span>
 
+#include "codes/erasure_code.hpp"
 #include "migration/disk_array.hpp"
 #include "migration/fault.hpp"
 
@@ -58,5 +60,17 @@ IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
 IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
                         std::span<std::uint8_t> out,
                         const RetryPolicy& policy, IoCounters* counters);
+
+/// Execute `plan` (over `code`'s flat cells) on stripes [first, first +
+/// count): cell row * cols + col of stripe s is block s * rows + row of
+/// disk col - virtual_cols. Reads plan.reads of every stripe, XORs each
+/// recipe from memory, and writes the targets back, all as per-disk runs
+/// of consecutive blocks; a faulted run is redone block by block with
+/// retries. Returns the first I/O that failed for good; every read comes
+/// before the first write.
+IoResult rebuild_stripes(DiskArray& a, const ErasureCode& code,
+                         int virtual_cols, const RepairPlan& plan,
+                         std::int64_t first, std::int64_t count,
+                         const RetryPolicy& policy, IoCounters* counters);
 
 }  // namespace c56::mig

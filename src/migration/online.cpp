@@ -676,19 +676,19 @@ IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
       const std::int64_t db = l.group * (p - 1) + diag_row;
       // The new disk is no source disk: read_source only retries it,
       // and returns kDiskFailed without I/O when it is failed.
-      const IoResult r =
-          read_source(new_disk_, db, offset, par, Flow::kApplication);
-      if (r.ok()) {
+      bool updated =
+          read_source(new_disk_, db, offset, par, Flow::kApplication).ok();
+      if (updated) {
         xor_delta_into(par, old, in);
-        if (!put(new_disk_, db, par)) bump(&OnlineStats::degraded_writes);
-      } else if (r.status == IoStatus::kSectorError) {
-        // The stored diagonal parity is unreadable: regenerate its
-        // whole chain from the (already updated) data. Counted as
-        // conversion I/O, which is what the regeneration is.
-        generate_diag(l.group, diag_row);
-      } else {
-        bump(&OnlineStats::degraded_writes);
+        updated = put(new_disk_, db, par);
       }
+      // Rebuilds trust a generated diagonal, so one left unreadable or
+      // stale on a live new disk is regenerated from the (already
+      // updated) data, counted as the conversion I/O it is.
+      if (!updated && !array_.disk_failed(new_disk_)) {
+        updated = generate_diag(l.group, diag_row).ok();
+      }
+      if (!updated) bump(&OnlineStats::degraded_writes);
     }
   }
 
@@ -770,8 +770,8 @@ void OnlineMigrator::attach_metrics(obs::Registry& registry,
 }
 
 std::int64_t OnlineMigrator::rebuild_failed_disks() {
-  std::unique_lock ops(ops_mu_);  // exclude app I/O for the whole rebuild
-  std::lock_guard lk(mu_);
+  // Exclusive: no app I/O, and start()/resume() cannot launch workers.
+  std::unique_lock ops(ops_mu_);
   if (running_.load()) {
     throw std::logic_error("rebuild_failed_disks: conversion still running");
   }
@@ -780,129 +780,53 @@ std::int64_t OnlineMigrator::rebuild_failed_disks() {
     if (array_.disk_failed(d)) failed.push_back(d);
   }
   if (failed.empty()) return 0;
+  // One plan per trust state (see the header), all made before any write;
+  // row XOR alone whenever it decodes the loss.
   const int p = code_.p();
-  const std::size_t bs = array_.block_bytes();
+  const std::vector<int> lost = code_.erased_cells_of_columns(failed);
+  const std::span chains(code_.chain_specs());
+  std::vector<std::optional<RepairPlan>> plans(static_cast<std::size_t>(p));
+  plans[0] = plan_repair(code_.cell_count(), chains.first(p - 1), lost, lost);
+  const bool rows_only = plans[0].has_value();
+  const auto state = [&](std::int64_t g) {
+    return rows_only ? 0 : rows_done_[g].load();
+  };
+  for (std::int64_t g = 0; g < groups_; ++g) {
+    const int rows = state(g);
+    auto& plan = plans[static_cast<std::size_t>(rows)];
+    if (plan) continue;
+    // Skip the cells in no trusted chain: the ungenerated diagonals.
+    std::vector<int> cells = lost;
+    std::erase_if(cells, [&](int c) { return c % p == p - 1 && c / p >= rows; });
+    plan = plan_repair(code_.cell_count(),
+                       chains.first(static_cast<std::size_t>(p - 1 + rows)),
+                       cells, cells);
+    if (!plan) {
+      throw std::runtime_error(
+          "rebuild_failed_disks: failure pattern exceeds what the current "
+          "migration state can reconstruct");
+    }
+  }
+  for (int d : failed) array_.repair_disk(d);
+  // Batches of consecutive groups sharing a plan, about 64 blocks deep.
+  const std::int64_t batch = (64 + p - 2) / (p - 1);
   std::int64_t rebuilt = 0;
-
-  if (failed.size() == 1 && failed[0] < m_) {
-    // Single source disk: every block is the XOR of its row mates.
-    // Rebuild in multi-block chunks — one sequential run per surviving
-    // disk per chunk plus one run for the rewrite, falling back to the
-    // retrying per-block chain only when a chunk hits an injected fault.
-    const int d = failed[0];
-    array_.repair_disk(d);
-    constexpr std::int64_t kChunk = 64;
-    const std::int64_t total = array_.blocks_per_disk();
-    const auto nsrc = static_cast<std::size_t>(m_ - 1);
-    PooledBuffer arena(static_cast<std::size_t>(kChunk) * bs * nsrc);
-    PooledBuffer out(static_cast<std::size_t>(kChunk) * bs);
-    std::vector<const std::uint8_t*> srcs(nsrc);
-    std::vector<BlockAddr> addrs;
-    for (std::int64_t b0 = 0; b0 < total; b0 += kChunk) {
-      const std::int64_t m = std::min(kChunk, total - b0);
-      bool batched = true;
-      std::size_t s = 0;
-      for (int o = 0; o < m_ && batched; ++o) {
-        if (o == d) continue;
-        batched = array_
-                      .read_blocks(o, b0, m,
-                                   arena.span().subspan(
-                                       s++ * static_cast<std::size_t>(kChunk) *
-                                           bs,
-                                       static_cast<std::size_t>(m) * bs))
-                      .ok();
-      }
-      if (batched) {
-        for (std::int64_t k = 0; k < m; ++k) {
-          for (std::size_t i = 0; i < nsrc; ++i) {
-            srcs[i] = arena.data() +
-                      (i * static_cast<std::size_t>(kChunk) +
-                       static_cast<std::size_t>(k)) *
-                          bs;
-          }
-          xor_accumulate(out.data() + static_cast<std::size_t>(k) * bs,
-                         reinterpret_cast<const void* const*>(srcs.data()),
-                         nsrc, bs);
-        }
-        batched = array_
-                      .write_blocks(d, b0, m,
-                                    out.span().subspan(
-                                        0, static_cast<std::size_t>(m) * bs))
-                      .ok();
-      }
-      if (!batched) {
-        for (std::int64_t b = b0; b < b0 + m; ++b) {
-          addrs.clear();
-          for (int o = 0; o < m_; ++o) {
-            if (o != d) addrs.push_back({o, b});
-          }
-          IoCounters c;
-          if (!xor_chain_read(array_, addrs, out.block(0, bs), retry_, &c)
-                   .ok() ||
-              !write_block_retry(array_, d, b, out.block(0, bs), retry_, &c)
-                   .ok()) {
-            throw std::runtime_error("rebuild_failed_disks: disk " +
-                                     std::to_string(d) +
-                                     " not reconstructible");
-          }
-          charge(c, Flow::kRebuild);
-        }
-      }
-      rebuilt += m;
+  for (std::int64_t g = 0, n; g < groups_; g += n) {
+    const int rows = state(g);
+    n = 1;
+    while (n < batch && g + n < groups_ && state(g + n) == rows) ++n;
+    const RepairPlan& plan = *plans[static_cast<std::size_t>(rows)];
+    IoCounters c;
+    const IoResult r =
+        rebuild_stripes(array_, code_, 0, plan, g, n, retry_, &c);
+    charge(c, Flow::kRebuild);
+    if (!r.ok()) {
+      throw std::runtime_error("rebuild_failed_disks: group " +
+                               std::to_string(g) + ": " + describe(r));
     }
-    return rebuilt;
+    rebuilt += n * static_cast<std::int64_t>(plan.recipes.size());
   }
-
-  if (failed.size() == 1 && failed[0] == new_disk_) {
-    // The diagonal column is a pure function of the data: regenerate.
-    array_.repair_disk(new_disk_);
-    for (std::int64_t g = 0; g < groups_done_.load(); ++g) {
-      for (int i = 0; i <= p - 2; ++i) {
-        if (!generate_diag(g, i).ok()) {
-          throw std::runtime_error(
-              "rebuild_failed_disks: diagonal column not regenerable");
-        }
-        ++rebuilt;
-      }
-    }
-    return rebuilt;
-  }
-
-  if (failed.size() == 2 && state_ == MigrationState::kDone) {
-    // Double failure after conversion: Algorithm 1 over every group.
-    for (int d : failed) array_.repair_disk(d);
-    PooledBuffer stripe(static_cast<std::size_t>(code_.cell_count()) * bs);
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      StripeView v(stripe.span(), p - 1, p, bs);
-      for (int c = 0; c <= p - 1; ++c) {
-        const auto col = array_.raw_blocks(c, g * (p - 1), p - 1);
-        for (int r = 0; r <= p - 2; ++r) {
-          std::ranges::copy(col.subspan(static_cast<std::size_t>(r) * bs, bs),
-                            v.block({r, c}).begin());
-        }
-      }
-      if (!code_.decode_columns(v, failed).has_value()) {
-        throw std::runtime_error("rebuild_failed_disks: group " +
-                                 std::to_string(g) + " not decodable");
-      }
-      for (int d : failed) {
-        for (int r = 0; r <= p - 2; ++r) {
-          IoCounters c;
-          if (!write_block_retry(array_, d, g * (p - 1) + r,
-                                 v.block({r, d}), retry_, &c)
-                   .ok()) {
-            throw std::runtime_error("rebuild_failed_disks: rewrite failed");
-          }
-          ++rebuilt;
-        }
-      }
-    }
-    return rebuilt;
-  }
-
-  throw std::runtime_error(
-      "rebuild_failed_disks: failure pattern exceeds what the current "
-      "migration state can reconstruct");
+  return rebuilt;
 }
 
 bool OnlineMigrator::verify_raid6() const {

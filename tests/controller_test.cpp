@@ -1,11 +1,15 @@
 // Block-level controller tests across the whole code zoo: healthy
 // read/write round trips with parity maintenance, degraded reads and
 // writes under one and two disk failures, rebuild, and scrubbing. Also
-// pins the quantified "single write performance" of Table III.
+// pins the quantified "single write performance" of Table III and the
+// rebuild I/O per stripe of every code and failed disk.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "codes/code56.hpp"
 #include "codes/registry.hpp"
@@ -194,6 +198,212 @@ TEST(SingleWriteCost, MatchesTableIII) {
             avg_io_per_write(CodeId::kRdp, 5));
   // HDP pays one extra hop through the horizontal-diagonal coupling.
   EXPECT_GT(avg_io_per_write(CodeId::kHdp, 5), 6.0);
+}
+
+/// Rebuild I/O per stripe of rebuild_disk(disk) with `disk` (and
+/// `second`, when not -1) failed: every read goes through one
+/// plan_repair plan, read once per stripe as per-disk runs. A failed
+/// Code 5-6 data disk reads Section III-E(4)'s hybrid minimum: 9, 22
+/// and 66 blocks at p = 5, 7 and 11 (the all-horizontal schedule reads
+/// 12, 30 and 90).
+struct RebuildIo {
+  std::uint64_t reads, read_runs, writes, write_runs;
+};
+struct RebuildPin {
+  CodeId id;
+  int p;
+  int disk;
+  int second;
+  RebuildIo io;
+  // The same rebuild with one recipe per lost cell and nothing shared
+  // (every read its own run), which the plan must never exceed.
+  std::uint64_t per_cell_reads;
+};
+
+const RebuildPin kRebuildPins[] = {
+    {CodeId::kEvenOdd, 5, 0, -1, {16, 7, 4, 1}, 20},
+    {CodeId::kEvenOdd, 5, 1, -1, {17, 6, 4, 1}, 20},
+    {CodeId::kEvenOdd, 5, 2, -1, {17, 10, 4, 1}, 20},
+    {CodeId::kEvenOdd, 5, 3, -1, {17, 10, 4, 1}, 20},
+    {CodeId::kEvenOdd, 5, 4, -1, {17, 6, 4, 1}, 20},
+    {CodeId::kEvenOdd, 5, 5, -1, {20, 5, 4, 1}, 20},
+    {CodeId::kEvenOdd, 5, 6, -1, {20, 5, 4, 1}, 32},
+    {CodeId::kEvenOdd, 5, 0, 1, {20, 5, 4, 1}, 46},
+    {CodeId::kEvenOdd, 7, 0, -1, {33, 10, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 1, -1, {37, 8, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 2, -1, {37, 14, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 3, -1, {37, 14, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 4, -1, {37, 14, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 5, -1, {37, 14, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 6, -1, {37, 8, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 7, -1, {42, 7, 6, 1}, 42},
+    {CodeId::kEvenOdd, 7, 8, -1, {42, 7, 6, 1}, 72},
+    {CodeId::kEvenOdd, 7, 0, 1, {42, 7, 6, 1}, 127},
+    {CodeId::kRdp, 5, 0, -1, {12, 6, 4, 1}, 16},
+    {CodeId::kRdp, 5, 1, -1, {12, 6, 4, 1}, 16},
+    {CodeId::kRdp, 5, 2, -1, {12, 6, 4, 1}, 16},
+    {CodeId::kRdp, 5, 3, -1, {12, 9, 4, 1}, 16},
+    {CodeId::kRdp, 5, 4, -1, {12, 9, 4, 1}, 16},
+    {CodeId::kRdp, 5, 5, -1, {16, 7, 4, 1}, 16},
+    {CodeId::kRdp, 5, 0, 1, {16, 4, 4, 1}, 36},
+    {CodeId::kRdp, 7, 0, -1, {27, 9, 6, 1}, 36},
+    {CodeId::kRdp, 7, 1, -1, {27, 9, 6, 1}, 36},
+    {CodeId::kRdp, 7, 2, -1, {27, 9, 6, 1}, 36},
+    {CodeId::kRdp, 7, 3, -1, {27, 9, 6, 1}, 36},
+    {CodeId::kRdp, 7, 4, -1, {27, 14, 6, 1}, 36},
+    {CodeId::kRdp, 7, 5, -1, {27, 14, 6, 1}, 36},
+    {CodeId::kRdp, 7, 6, -1, {27, 13, 6, 1}, 36},
+    {CodeId::kRdp, 7, 7, -1, {36, 11, 6, 1}, 36},
+    {CodeId::kRdp, 7, 0, 1, {36, 6, 6, 1}, 106},
+    {CodeId::kHCode, 5, 0, -1, {12, 6, 4, 1}, 16},
+    {CodeId::kHCode, 5, 1, -1, {12, 8, 4, 1}, 16},
+    {CodeId::kHCode, 5, 2, -1, {12, 7, 4, 1}, 16},
+    {CodeId::kHCode, 5, 3, -1, {12, 7, 4, 1}, 16},
+    {CodeId::kHCode, 5, 4, -1, {12, 5, 4, 1}, 16},
+    {CodeId::kHCode, 5, 5, -1, {16, 7, 4, 1}, 16},
+    {CodeId::kHCode, 5, 0, 1, {16, 4, 4, 1}, 36},
+    {CodeId::kHCode, 7, 0, -1, {27, 9, 6, 1}, 36},
+    {CodeId::kHCode, 7, 1, -1, {27, 12, 6, 1}, 36},
+    {CodeId::kHCode, 7, 2, -1, {27, 12, 6, 1}, 36},
+    {CodeId::kHCode, 7, 3, -1, {27, 11, 6, 1}, 36},
+    {CodeId::kHCode, 7, 4, -1, {27, 12, 6, 1}, 36},
+    {CodeId::kHCode, 7, 5, -1, {27, 11, 6, 1}, 36},
+    {CodeId::kHCode, 7, 6, -1, {27, 8, 6, 1}, 36},
+    {CodeId::kHCode, 7, 7, -1, {36, 11, 6, 1}, 36},
+    {CodeId::kHCode, 7, 0, 1, {36, 6, 6, 1}, 106},
+    {CodeId::kXCode, 5, 0, -1, {12, 5, 5, 1}, 15},
+    {CodeId::kXCode, 5, 1, -1, {12, 5, 5, 1}, 15},
+    {CodeId::kXCode, 5, 2, -1, {12, 5, 5, 1}, 15},
+    {CodeId::kXCode, 5, 3, -1, {12, 5, 5, 1}, 15},
+    {CodeId::kXCode, 5, 4, -1, {12, 5, 5, 1}, 15},
+    {CodeId::kXCode, 5, 0, 1, {15, 3, 5, 1}, 25},
+    {CodeId::kXCode, 7, 0, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 1, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 2, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 3, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 4, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 5, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 6, -1, {26, 13, 7, 1}, 35},
+    {CodeId::kXCode, 7, 0, 1, {35, 5, 7, 1}, 81},
+    {CodeId::kPCode, 5, 0, -1, {3, 3, 2, 1}, 4},
+    {CodeId::kPCode, 5, 1, -1, {3, 3, 2, 1}, 4},
+    {CodeId::kPCode, 5, 2, -1, {3, 3, 2, 1}, 4},
+    {CodeId::kPCode, 5, 3, -1, {3, 3, 2, 1}, 4},
+    {CodeId::kPCode, 5, 0, 1, {4, 2, 2, 1}, 6},
+    {CodeId::kPCode, 7, 0, -1, {9, 5, 3, 1}, 12},
+    {CodeId::kPCode, 7, 1, -1, {9, 7, 3, 1}, 12},
+    {CodeId::kPCode, 7, 2, -1, {9, 5, 3, 1}, 12},
+    {CodeId::kPCode, 7, 3, -1, {9, 6, 3, 1}, 12},
+    {CodeId::kPCode, 7, 4, -1, {9, 7, 3, 1}, 12},
+    {CodeId::kPCode, 7, 5, -1, {9, 6, 3, 1}, 12},
+    {CodeId::kPCode, 7, 0, 1, {12, 4, 3, 1}, 20},
+    {CodeId::kHdp, 5, 0, -1, {7, 5, 4, 1}, 9},
+    {CodeId::kHdp, 5, 1, -1, {7, 4, 4, 1}, 9},
+    {CodeId::kHdp, 5, 2, -1, {7, 4, 4, 1}, 9},
+    {CodeId::kHdp, 5, 3, -1, {7, 5, 4, 1}, 9},
+    {CodeId::kHdp, 5, 0, 1, {8, 2, 4, 1}, 17},
+    {CodeId::kHdp, 7, 0, -1, {19, 8, 6, 1}, 25},
+    {CodeId::kHdp, 7, 1, -1, {19, 10, 6, 1}, 25},
+    {CodeId::kHdp, 7, 2, -1, {19, 9, 6, 1}, 25},
+    {CodeId::kHdp, 7, 3, -1, {19, 11, 6, 1}, 25},
+    {CodeId::kHdp, 7, 4, -1, {19, 10, 6, 1}, 25},
+    {CodeId::kHdp, 7, 5, -1, {19, 10, 6, 1}, 25},
+    {CodeId::kHdp, 7, 0, 1, {24, 4, 6, 1}, 70},
+    {CodeId::kCode56, 5, 0, -1, {9, 5, 4, 1}, 12},
+    {CodeId::kCode56, 5, 1, -1, {9, 5, 4, 1}, 12},
+    {CodeId::kCode56, 5, 2, -1, {9, 7, 4, 1}, 12},
+    {CodeId::kCode56, 5, 3, -1, {9, 7, 4, 1}, 12},
+    {CodeId::kCode56, 5, 4, -1, {12, 6, 4, 1}, 12},
+    {CodeId::kCode56, 5, 0, 1, {12, 3, 4, 1}, 24},
+    {CodeId::kCode56, 7, 0, -1, {22, 8, 6, 1}, 30},
+    {CodeId::kCode56, 7, 1, -1, {22, 12, 6, 1}, 30},
+    {CodeId::kCode56, 7, 2, -1, {22, 12, 6, 1}, 30},
+    {CodeId::kCode56, 7, 3, -1, {22, 13, 6, 1}, 30},
+    {CodeId::kCode56, 7, 4, -1, {22, 15, 6, 1}, 30},
+    {CodeId::kCode56, 7, 5, -1, {22, 11, 6, 1}, 30},
+    {CodeId::kCode56, 7, 6, -1, {30, 10, 6, 1}, 30},
+    {CodeId::kCode56, 7, 0, 1, {30, 5, 6, 1}, 86},
+    {CodeId::kCode56, 11, 0, -1, {66, 14, 10, 1}, 90},
+    {CodeId::kCode56, 11, 1, -1, {66, 32, 10, 1}, 90},
+    {CodeId::kCode56, 11, 2, -1, {66, 34, 10, 1}, 90},
+    {CodeId::kCode56, 11, 3, -1, {66, 30, 10, 1}, 90},
+    {CodeId::kCode56, 11, 4, -1, {66, 22, 10, 1}, 90},
+    {CodeId::kCode56, 11, 5, -1, {66, 23, 10, 1}, 90},
+    {CodeId::kCode56, 11, 6, -1, {66, 29, 10, 1}, 90},
+    {CodeId::kCode56, 11, 7, -1, {66, 34, 10, 1}, 90},
+    {CodeId::kCode56, 11, 8, -1, {66, 37, 10, 1}, 90},
+    {CodeId::kCode56, 11, 9, -1, {66, 19, 10, 1}, 90},
+};
+
+RebuildIo measure_rebuild(CodeId id, int p, int disk, int second) {
+  constexpr std::int64_t kRebuildStripes = 4;
+  auto code = make_code(id, p);
+  DiskArray array(code->cols(), kRebuildStripes * code->rows(), kBlock);
+  ArrayController ctrl(array, std::move(code));
+  Rng rng(5);
+  std::map<std::int64_t, Buffer> model;
+  Buffer buf(kBlock);
+  for (std::int64_t l = 0; l < ctrl.logical_blocks(); ++l) {
+    rng.fill(buf.data(), kBlock);
+    model[l] = buf;
+    ctrl.write(l, buf.span());
+  }
+  ctrl.fail_disk(disk);
+  if (second >= 0) ctrl.fail_disk(second);
+  const std::uint64_t r0 = array.total_reads(), rr0 = array.total_read_runs();
+  const std::uint64_t w0 = array.total_writes(), wr0 = array.total_write_runs();
+  ctrl.rebuild_disk(disk);
+  const RebuildIo io{(array.total_reads() - r0) / kRebuildStripes,
+                     (array.total_read_runs() - rr0) / kRebuildStripes,
+                     (array.total_writes() - w0) / kRebuildStripes,
+                     (array.total_write_runs() - wr0) / kRebuildStripes};
+  if (second >= 0) ctrl.rebuild_disk(second);
+  EXPECT_TRUE(ctrl.scrub().empty());
+  Buffer got(kBlock);
+  for (const auto& [l, want] : model) {
+    ctrl.read(l, got.span());
+    EXPECT_TRUE(got == want) << "logical " << l;
+  }
+  return io;
+}
+
+TEST(RebuildIoPins, EveryCodeAndFailedDisk) {
+  std::size_t checked = 0;
+  const auto check = [&](CodeId id, int p, int disk, int second) {
+    const RebuildIo got = measure_rebuild(id, p, disk, second);
+    const std::string where = std::string(to_string(id)) + " p=" +
+                              std::to_string(p) + " disk " +
+                              std::to_string(disk) + " second " +
+                              std::to_string(second);
+    const auto it = std::find_if(
+        std::begin(kRebuildPins), std::end(kRebuildPins),
+        [&](const RebuildPin& x) {
+          return x.id == id && x.p == p && x.disk == disk &&
+                 x.second == second;
+        });
+    if (it == std::end(kRebuildPins)) {
+      ADD_FAILURE() << "no pin for " << where << ": {" << got.reads << ", "
+                    << got.read_runs << ", " << got.writes << ", "
+                    << got.write_runs << "}";
+      return;
+    }
+    ++checked;
+    EXPECT_EQ(got.reads, it->io.reads) << where;
+    EXPECT_EQ(got.read_runs, it->io.read_runs) << where;
+    EXPECT_EQ(got.writes, it->io.writes) << where;
+    EXPECT_EQ(got.write_runs, it->io.write_runs) << where;
+    EXPECT_LE(it->io.reads, it->per_cell_reads) << where;
+    EXPECT_LE(it->io.read_runs, it->per_cell_reads) << where;
+    EXPECT_EQ(it->io.write_runs, 1u) << where;
+  };
+  for (CodeId id : all_code_ids()) {
+    for (int p : {5, 7}) {
+      for (int d = 0; d < make_code(id, p)->cols(); ++d) check(id, p, d, -1);
+      check(id, p, 0, 1);
+    }
+  }
+  for (int d = 0; d < 10; ++d) check(CodeId::kCode56, 11, d, -1);
+  EXPECT_EQ(checked, std::size(kRebuildPins));
 }
 
 TEST(Controller, RejectsBadGeometry) {

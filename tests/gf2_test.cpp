@@ -105,5 +105,78 @@ TEST(ChainSolver, KnownCellsCancelAcrossCombinedEquations) {
   EXPECT_EQ((*r)[1].sources, (std::vector<int>{1, 9}));
 }
 
+TEST(RepairPlan, PicksTheChainsWithTheSmallestReadUnion) {
+  // Cell 0 has chains {0,1,2} and {0,5,6}; cell 3 has {3,7} and
+  // {3,1,2}. The first options read {1,2,7}; sharing {1,2} reads two.
+  std::vector<ChainSpec> chains{
+      {{0, 1, 2}}, {{0, 5, 6}}, {{3, 7}}, {{3, 1, 2}}};
+  const int lost[] = {0, 3};
+  const auto plan = plan_repair(8, chains, lost, lost);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->recipes.size(), 2u);
+  EXPECT_EQ(plan->recipes[0].target, 0);
+  EXPECT_EQ(plan->recipes[0].sources, (std::vector<int>{1, 2}));
+  EXPECT_EQ(plan->recipes[1].target, 3);
+  EXPECT_EQ(plan->recipes[1].sources, (std::vector<int>{1, 2}));
+  EXPECT_EQ(plan->reads, (std::vector<int>{1, 2}));
+}
+
+TEST(RepairPlan, TargetsAStrictSubsetOfTheErasedCells) {
+  // Cells 0 and 1 are erased, only 0 is rebuilt. Chain {0,1,2} holds
+  // another erased cell, so cell 0 takes its free chain {0,3,4}.
+  std::vector<ChainSpec> chains{{{0, 1, 2}}, {{0, 3, 4}}, {{1, 5}}};
+  const int lost[] = {0, 1};
+  const int target[] = {0};
+  auto plan = plan_repair(6, chains, lost, target);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->recipes.size(), 1u);
+  EXPECT_EQ(plan->recipes[0].sources, (std::vector<int>{3, 4}));
+  EXPECT_EQ(plan->reads, (std::vector<int>{3, 4}));
+
+  // Without a free chain the target takes its solve_erasures recipe,
+  // which substitutes x1 = x5 into {0,1,2}.
+  chains.erase(chains.begin() + 1);
+  plan = plan_repair(6, chains, lost, target);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->recipes.size(), 1u);
+  EXPECT_EQ(plan->recipes[0].target, 0);
+  EXPECT_EQ(plan->recipes[0].sources, (std::vector<int>{2, 5}));
+  EXPECT_EQ(plan->reads, (std::vector<int>{2, 5}));
+}
+
+TEST(RepairPlan, UndecodableSetReturnsNullopt) {
+  // Cells 0 and 1 sit only in chains holding both of them.
+  std::vector<ChainSpec> chains{{{0, 1, 2}}, {{0, 1, 3}}};
+  const int lost[] = {0, 1};
+  EXPECT_FALSE(plan_repair(4, chains, lost, lost).has_value());
+  const int target[] = {0};
+  EXPECT_FALSE(plan_repair(4, chains, lost, target).has_value());
+}
+
+TEST(RepairPlan, ExhaustiveUpToTwoToTheSixteenStatesThenGreedy) {
+  // Targets 0 and 1 both first list a chain through {2,3}: together
+  // they read 2 cells, and moving either alone to its chain through
+  // {4} reads 3, so single-target descent stays there. Moving both
+  // reads 1. Each padding target t adds two equal chains {t, t+1},
+  // doubling the state count and adding one read.
+  const auto reads_with_padding = [](int pad) {
+    std::vector<ChainSpec> chains{
+        {{0, 2, 3}}, {{1, 2, 3}}, {{0, 4}}, {{1, 4}}};
+    std::vector<int> lost{0, 1};
+    for (int k = 0; k < pad; ++k) {
+      const int t = 5 + 2 * k;
+      chains.push_back({{t, t + 1}});
+      chains.push_back({{t, t + 1}});
+      lost.push_back(t);
+    }
+    const auto plan = plan_repair(5 + 2 * pad, chains, lost, lost);
+    EXPECT_TRUE(plan.has_value());
+    return plan ? plan->reads.size() : std::size_t{0};
+  };
+  EXPECT_EQ(reads_with_padding(0), 1u);
+  EXPECT_EQ(reads_with_padding(14), 15u);  // 2^16 states: exhaustive
+  EXPECT_EQ(reads_with_padding(15), 17u);  // 2^17 states: greedy
+}
+
 }  // namespace
 }  // namespace c56

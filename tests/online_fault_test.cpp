@@ -1,9 +1,10 @@
 // Fault-tolerant online migration: the conversion surviving a source
 // disk lost mid-stream, transient-error retry, terminal aborts on
 // double failures, crash-consistent resume through the journal, the
-// migrator's lifecycle orderings, and its application write path: I/O
+// migrator's lifecycle orderings, its application write path (I/O
 // pins per state, disk condition and call, buffer-size checks, and one
-// retry ladder per unreadable range.
+// retry ladder per unreadable range), and its rebuild I/O per state and
+// failure set.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "migration/disk_array.hpp"
 #include "migration/journal.hpp"
 #include "migration/online.hpp"
+#include "sim/disk_model.hpp"
 #include "util/rng.hpp"
 #include "xorblk/buffer.hpp"
 #include "xorblk/xor.hpp"
@@ -814,6 +816,255 @@ TEST(MigratorWriteFaults, SubBlockBadSectorRunsOneRetryLadder) {
     EXPECT_EQ(s.app_writes, 2u);
     EXPECT_EQ(s.degraded_writes, 0u);
     EXPECT_TRUE(raw_image(array) == raw_image(ref));
+  }
+}
+
+// ---------------------------------------------------------------------
+// Rebuild I/O: rebuild_failed_disks plans per trust state and runs
+// batches of groups through one routine.
+
+enum class Lost : std::uint8_t {
+  kSource,
+  kNewDisk,
+  kTwoSources,
+  kSourceAndNew,
+};
+
+const char* name(Lost l) {
+  switch (l) {
+    case Lost::kSource: return "kSource";
+    case Lost::kNewDisk: return "kNewDisk";
+    case Lost::kTwoSources: return "kTwoSources";
+    case Lost::kSourceAndNew: return "kSourceAndNew";
+  }
+  return "?";
+}
+
+struct RebuildIo {
+  std::int64_t rebuilt;
+  std::uint64_t reads, read_runs, writes, write_runs;
+};
+
+struct RebuildPin {
+  int p;
+  MigState state;
+  Lost lost;
+  RebuildIo io;
+  RebuildIo parent;  // the same harness at the three hand-written cases
+};
+
+constexpr Lost kSource = Lost::kSource;
+constexpr Lost kNewDisk = Lost::kNewDisk;
+constexpr Lost kTwoSources = Lost::kTwoSources;
+constexpr Lost kSourceAndNew = Lost::kSourceAndNew;
+
+// {blocks rebuilt, reads, read runs, writes, write runs} over 32 groups,
+// now and at the parent. A single source disk is rebuilt by row XOR in
+// every state, exactly as before. The parent regenerated the diagonal
+// column one block at a time, and read a double failure's survivors
+// through an uncounted backdoor (its 0 reads).
+constexpr RebuildPin kRebuildPins[] = {
+    {5, kPreStart, kSource, {128, 384, 6, 128, 2}, {128, 384, 6, 128, 2}},
+    {5, kMidGroup, kSource, {128, 384, 6, 128, 2}, {128, 384, 6, 128, 2}},
+    {5, kMidGroup, kNewDisk, {6, 18, 10, 6, 2}, {4, 12, 12, 4, 4}},
+    {5, kDone, kSource, {128, 384, 6, 128, 2}, {128, 384, 6, 128, 2}},
+    {5, kDone, kNewDisk, {128, 384, 132, 128, 2}, {128, 384, 384, 128, 128}},
+    {5, kDone, kTwoSources, {256, 384, 6, 256, 4}, {256, 0, 0, 256, 256}},
+    {5, kDone, kSourceAndNew, {256, 384, 6, 256, 4}, {256, 0, 0, 256, 256}},
+    {7, kPreStart, kSource, {192, 960, 15, 192, 3}, {192, 960, 15, 192, 3}},
+    {7, kMidGroup, kSource, {192, 960, 15, 192, 3}, {192, 960, 15, 192, 3}},
+    {7, kMidGroup, kNewDisk, {8, 40, 16, 8, 2}, {6, 30, 30, 6, 6}},
+    {7, kDone, kSource, {192, 960, 15, 192, 3}, {192, 960, 15, 192, 3}},
+    {7, kDone, kNewDisk, {192, 960, 204, 192, 3}, {192, 960, 960, 192, 192}},
+    {7, kDone, kTwoSources, {384, 960, 15, 384, 6}, {384, 0, 0, 384, 384}},
+    {7, kDone, kSourceAndNew, {384, 960, 15, 384, 6}, {384, 0, 0, 384, 384}},
+};
+
+/// Device time of a rebuild on the default sim::DiskParams with 4 KiB
+/// blocks: every run pays a seek plus half a rotation, every block its
+/// transfer.
+double device_ms(const RebuildIo& io) {
+  const sim::DiskParams d;
+  const auto runs = static_cast<double>(io.read_runs + io.write_runs);
+  const auto blocks = static_cast<double>(io.reads + io.writes);
+  return runs * (d.avg_seek_ms + d.avg_rotational_ms()) +
+         blocks * 4096.0 / (d.transfer_mb_s * 1e3);
+}
+
+/// Fails `lost` on a 32-group array in `state`, overwrites the failed
+/// disks' trusted cells with junk, rebuilds, and returns what it cost.
+/// The rebuild must restore every trusted cell byte for byte.
+RebuildIo measure_mig_rebuild(int p, MigState state, Lost lost) {
+  const int m = p - 1;
+  const std::int64_t groups = 32;
+  DiskArray array(m, groups * (p - 1), kBlock);
+  fill_raid5(array, m, 0x4EB + static_cast<std::uint64_t>(p));
+  OnlineMigrator mig(array, p);
+  mig.set_workers(1);  // the checkpoint count below assumes one worker
+  // As in measure_mig_write: group 0 done, group 1 holds two diagonals.
+  StopAfterSink sink(static_cast<std::size_t>(p) + 3);
+  if (state == MigState::kMidGroup) {
+    mig.attach_journal(sink);
+    sink.arm([&mig] { mig.request_stop(); });
+  }
+  if (state != MigState::kPreStart) {
+    mig.start();
+    mig.finish();
+  }
+  const auto diag_rows = [&](std::int64_t g) -> int {
+    switch (state) {
+      case MigState::kPreStart: return 0;
+      case MigState::kMidGroup: return g == 0 ? p - 1 : g == 1 ? 2 : 0;
+      case MigState::kDone: return p - 1;
+    }
+    return 0;
+  };
+  std::vector<int> failed{0};
+  if (lost == kNewDisk) failed = {m};
+  if (lost == kTwoSources) failed = {0, 1};
+  if (lost == kSourceAndNew) failed = {0, m};
+  const std::vector<std::uint8_t> before = raw_image(array);
+  Rng junk(0x4EC);
+  for (int d : failed) {
+    array.fail_disk(d);
+    for (std::int64_t b = 0; b < array.blocks_per_disk(); ++b) {
+      if (d < m || b % (p - 1) < diag_rows(b / (p - 1))) {
+        junk.fill(array.raw_block(d, b).data(), kBlock);
+      }
+    }
+  }
+  const std::uint64_t r0 = array.total_reads(), rr0 = array.total_read_runs();
+  const std::uint64_t w0 = array.total_writes(), wr0 = array.total_write_runs();
+  const std::int64_t rebuilt = mig.rebuild_failed_disks();
+  EXPECT_EQ(array.failed_disks(), 0);
+  EXPECT_TRUE(raw_image(array) == before);
+  if (state == MigState::kDone) {
+    EXPECT_TRUE(mig.verify_raid6());
+  }
+  return {rebuilt, array.total_reads() - r0, array.total_read_runs() - rr0,
+          array.total_writes() - w0, array.total_write_runs() - wr0};
+}
+
+TEST(MigratorRebuildIoPins, EveryStateAndFailureSet) {
+  std::size_t checked = 0;
+  for (int p : {5, 7}) {
+    for (MigState state : {kPreStart, kMidGroup, kDone}) {
+      for (Lost lost : {kSource, kNewDisk, kTwoSources, kSourceAndNew}) {
+        if (state == kPreStart && lost != kSource) continue;
+        if (state != kDone && (lost == kTwoSources || lost == kSourceAndNew)) {
+          continue;
+        }
+        const RebuildIo got = measure_mig_rebuild(p, state, lost);
+        const std::string where = "p=" + std::to_string(p) + " " +
+                                  name(state) + " " + name(lost);
+        const auto it = std::find_if(
+            std::begin(kRebuildPins), std::end(kRebuildPins),
+            [&](const RebuildPin& x) {
+              return x.p == p && x.state == state && x.lost == lost;
+            });
+        if (it == std::end(kRebuildPins)) {
+          ADD_FAILURE() << "no pin for " << where;
+          std::printf("    {%d, %s, %s, {%lld, %llu, %llu, %llu, %llu}},\n",
+                      p, name(state), name(lost),
+                      static_cast<long long>(got.rebuilt),
+                      static_cast<unsigned long long>(got.reads),
+                      static_cast<unsigned long long>(got.read_runs),
+                      static_cast<unsigned long long>(got.writes),
+                      static_cast<unsigned long long>(got.write_runs));
+          continue;
+        }
+        ++checked;
+        EXPECT_EQ(got.rebuilt, it->io.rebuilt) << where;
+        EXPECT_EQ(got.reads, it->io.reads) << where;
+        EXPECT_EQ(got.read_runs, it->io.read_runs) << where;
+        EXPECT_EQ(got.writes, it->io.writes) << where;
+        EXPECT_EQ(got.write_runs, it->io.write_runs) << where;
+        EXPECT_LE(device_ms(got), device_ms(it->parent)) << where;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kRebuildPins));
+}
+
+/// A double failure after conversion is rebuilt through counted I/O:
+/// injected sector errors surface and are retried, and the reads show
+/// up in the DiskArray counters.
+TEST(MigratorRebuildIoPins, DoubleFailureReadsAreCountedAndRetried) {
+  const int p = 5, m = 4;
+  const std::int64_t groups = 8;
+  DiskArray array(m, groups * (p - 1), kBlock);
+  fill_raid5(array, m, 0x2F1);
+  OnlineMigrator mig(array, p);
+  mig.set_retry_policy(fast_retry());
+  mig.start();
+  mig.finish();
+  ASSERT_EQ(mig.state(), MigrationState::kDone);
+  const auto snap = snapshot_logical(array, m, mig.logical_blocks());
+  array.fail_disk(0);
+  array.fail_disk(2);
+  FaultPlan plan;
+  plan.sector_error_rate = 0.05;
+  plan.seed = 0x2F2;
+  array.set_fault_plan(plan);
+  const std::uint64_t r0 = array.total_reads();
+  const std::uint64_t retries0 = mig.stats().retries;
+  EXPECT_EQ(mig.rebuild_failed_disks(), 2 * groups * (p - 1));
+  // The three surviving columns read once each (96 blocks), plus the
+  // block-by-block rereads and retries of runs that hit an injected
+  // sector error.
+  EXPECT_EQ(array.total_reads() - r0, 129u);
+  EXPECT_GT(mig.stats().retries, retries0);
+  array.set_fault_plan(FaultPlan{});
+  EXPECT_TRUE(mig.verify_raid6());
+  std::vector<std::uint8_t> got(kBlock);
+  for (std::int64_t l = 0; l < mig.logical_blocks(); ++l) {
+    ASSERT_TRUE(mig.read_block(l, got).ok()) << "logical " << l;
+    EXPECT_EQ(got, snap[static_cast<std::size_t>(l)]) << "logical " << l;
+  }
+}
+
+/// An application write after conversion whose diagonal delta tears on
+/// every attempt, on a healthy new disk, regenerates that diagonal: a
+/// later double failure, which decodes through it, still rebuilds every
+/// block.
+TEST(MigratorRebuildIoPins, TornDiagonalUpdateIsRegenerated) {
+  const int p = 5, m = 4;
+  DiskArray array(m, 8 * (p - 1), kBlock);
+  fill_raid5(array, m, 0x2F3);
+  OnlineMigrator mig(array, p);
+  RetryPolicy retry = fast_retry();
+  retry.max_attempts = 2;
+  mig.set_retry_policy(retry);
+  mig.start();
+  mig.finish();
+  ASSERT_EQ(mig.state(), MigrationState::kDone);
+  auto want = snapshot_logical(array, m, mig.logical_blocks());
+  const std::int64_t l = 5;
+  auto& written = want[static_cast<std::size_t>(l)];
+  written.assign(kBlock, 0xA5);
+  FaultPlan plan;
+  plan.torn_write_rate = 0.5;
+  plan.seed = 31;  // the source writes land, the diagonal tears twice
+  array.set_fault_plan(plan);
+  const std::uint64_t w0 = array.total_writes(), new0 = array.writes(m);
+  const std::uint64_t torn0 = array.torn_writes();
+  const std::uint64_t degraded0 = mig.stats().degraded_writes;
+  ASSERT_TRUE(mig.write_block(l, written).ok());
+  array.set_fault_plan(FaultPlan{});
+  ASSERT_EQ(array.torn_writes() - torn0, 2u);
+  ASSERT_EQ((array.total_writes() - w0) - (array.writes(m) - new0), 2u);
+  EXPECT_EQ(mig.stats().degraded_writes, degraded0);
+  EXPECT_TRUE(mig.verify_raid6());
+
+  const Addr a = logical_addr(l, m);
+  array.fail_disk(a.disk);
+  array.fail_disk((a.disk + 1) % m);
+  EXPECT_EQ(mig.rebuild_failed_disks(), 2 * 8 * (p - 1));
+  EXPECT_TRUE(mig.verify_raid6());
+  std::vector<std::uint8_t> got(kBlock);
+  for (std::int64_t b = 0; b < mig.logical_blocks(); ++b) {
+    ASSERT_TRUE(mig.read_block(b, got).ok()) << "logical " << b;
+    EXPECT_EQ(got, want[static_cast<std::size_t>(b)]) << "logical " << b;
   }
 }
 
