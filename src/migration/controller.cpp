@@ -173,20 +173,6 @@ std::span<const Cell> ArrayController::parities_of(int idx) const {
                                         parities_offset_[idx]));
 }
 
-const std::vector<RecoveryRecipe>& ArrayController::recipes() {
-  if (!recipes_valid_) {
-    std::vector<int> cols;
-    for (int d : failed_) cols.push_back(col_of(d));
-    auto solved = code_->solve_cells(code_->erased_cells_of_columns(cols));
-    if (!solved) {
-      throw std::runtime_error("failure pattern is not decodable");
-    }
-    recipes_ = std::move(*solved);
-    recipes_valid_ = true;
-  }
-  return recipes_;
-}
-
 void ArrayController::read_cell(std::int64_t stripe, Cell c,
                                 std::span<std::uint8_t> out) {
   if (kind_[static_cast<std::size_t>(flat_of(c))] == CellKind::kVirtual) {
@@ -194,7 +180,8 @@ void ArrayController::read_cell(std::int64_t stripe, Cell c,
     return;
   }
   if (cell_failed(c)) {
-    reconstruct_cell(stripe, c, out);
+    const CellRead x{c, 0, out.size(), out.data()};
+    read_repaired_cells(stripe, {&x, 1});
   } else {
     const IoResult r = read_block_retry(array_, disk_of(c.col),
                                         block_of(stripe, c.row), out,
@@ -203,29 +190,26 @@ void ArrayController::read_cell(std::int64_t stripe, Cell c,
   }
 }
 
-void ArrayController::reconstruct_cell(std::int64_t stripe, Cell c,
-                                       std::span<std::uint8_t> out) {
-  const int flat = flat_of(c);
-  const RecoveryRecipe* recipe = nullptr;
-  for (const RecoveryRecipe& r : recipes()) {
-    if (r.target == flat) {
-      recipe = &r;
-      break;
-    }
+void ArrayController::read_repaired_cells(std::int64_t stripe,
+                                          std::span<const CellRead> io) {
+  const std::size_t bs = array_.block_bytes();
+  RepairPlan plan;
+  for (const CellRead& x : io) {
+    const int f = flat_of(x.cell);
+    const RecoveryRecipe& r = repair_[static_cast<std::size_t>(f)];
+    plan.recipes.push_back(r.target < 0 ? RecoveryRecipe{f, {f}} : r);
+    const std::vector<int>& src = plan.recipes.back().sources;
+    plan.reads.insert(plan.reads.end(), src.begin(), src.end());
   }
-  assert(recipe != nullptr && "cell is not part of the failure set");
-  // One shared reconstruct-on-read path: the recipe's surviving chain
-  // members feed the same XOR kernel the online migrator degrades
-  // through (degraded.hpp).
-  std::vector<BlockAddr> srcs;
-  srcs.reserve(recipe->sources.size());
-  for (int src : recipe->sources) {
-    const Cell sc = cell_of_index(src, code_->cols());
-    assert(!cell_failed(sc));
-    srcs.push_back({disk_of(sc.col), block_of(stripe, sc.row)});
-  }
-  const IoResult r = xor_chain_read(array_, srcs, out, RetryPolicy{}, nullptr);
+  std::ranges::sort(plan.reads);
+  plan.reads.erase(std::ranges::unique(plan.reads).begin(), plan.reads.end());
+  PooledBuffer tmp(io.size() * bs);
+  const IoResult r = read_repaired(array_, *code_, virtual_cols_, plan, stripe,
+                                   1, tmp.span(), RetryPolicy{}, nullptr);
   if (!r.ok()) throw_io("reconstruction read failed", r);
+  for (std::size_t k = 0; k < io.size(); ++k) {
+    std::memcpy(io[k].block, tmp.data() + k * bs, bs);
+  }
 }
 
 void ArrayController::read(std::int64_t logical, std::span<std::uint8_t> out) {
@@ -335,18 +319,21 @@ void ArrayController::read_run(std::int64_t stripe, int i0, int n,
                                std::span<std::uint8_t> out) {
   const std::size_t bs = array_.block_bytes();
   std::vector<CellRead> rd;
+  bool degraded = false;
   for (int k = 0; k < n; ++k) {
     const Cell c = data_cells_[static_cast<std::size_t>(i0 + k)];
     const auto dst = out.subspan(static_cast<std::size_t>(k) * bs, bs);
     if (cache_ && cache_->lookup(stripe, flat_of(c), dst)) continue;
-    if (cell_failed(c)) {
-      reconstruct_cell(stripe, c, dst);
-      cache_fill(stripe, c, dst);
-    } else {
-      rd.push_back({c, 0, bs, dst.data()});
-    }
+    degraded = degraded || cell_failed(c);
+    rd.push_back({c, 0, bs, dst.data()});
   }
-  read_cells(stripe, rd);
+  // With a lost cell in the run, one plan serves the whole run, so every
+  // block is read once.
+  if (degraded) {
+    read_repaired_cells(stripe, rd);
+  } else {
+    read_cells(stripe, rd);
+  }
   for (const CellRead& x : rd) cache_fill(stripe, x.cell, {x.block, bs});
 }
 
@@ -450,7 +437,7 @@ void ArrayController::write_stripe(std::int64_t stripe,
   thread_local std::vector<int> slot_of, pslot;
   thread_local std::vector<Touch> touch;
   thread_local std::vector<Par> par;
-  thread_local std::vector<CellRead> rd;
+  thread_local std::vector<CellRead> rd, lost;
   thread_local std::vector<CellWrite> wr;
   thread_local std::vector<const std::uint8_t*> srcs;
   slot_of.assign(data_cells_.size(), -1);
@@ -515,6 +502,7 @@ void ArrayController::write_stripe(std::int64_t stripe,
   std::uint8_t* const olds = imgs.data();
   std::uint8_t* const news = imgs.data() + T * bs;
   rd.clear();
+  lost.clear();
   for (std::size_t s = 0; s < T; ++s) {
     Touch& t = touch[s];
     if (!t.need_old) continue;
@@ -523,13 +511,14 @@ void ArrayController::write_stripe(std::int64_t stripe,
     if (cache_ && cache_->lookup(stripe, flat_of(c), old)) {
       t.old_full = true;
     } else if (cell_failed(c)) {
-      reconstruct_cell(stripe, c, old);
+      lost.push_back({c, 0, bs, old.data()});
       t.old_full = true;
     } else {
       rd.push_back({c, t.lo, t.hi, old.data()});
       t.old_full = t.lo == 0 && t.hi == bs;
     }
   }
+  if (!lost.empty()) read_repaired_cells(stripe, lost);
   read_cells(stripe, rd);
 
   // New images, entries applied in batch order (later entries win). A
@@ -680,7 +669,7 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
     // Reconstruction is whole-block by nature (the XOR chains cover
     // full blocks); slice the range and keep the full value cached.
     PooledBuffer tmp(bs);
-    reconstruct_cell(l.stripe, l.cell, tmp.span());
+    read_cell(l.stripe, l.cell, tmp.span());
     std::memcpy(out.data(), tmp.data() + off, out.size());
     cache_fill(l.stripe, l.cell, tmp.span());
     return;
@@ -829,8 +818,17 @@ void ArrayController::emit_event(obs::EventLevel level, std::string message,
   }
 }
 
-void ArrayController::invalidate_recovery_state() {
-  recipes_valid_ = false;
+void ArrayController::reset_recovery_state() {
+  std::vector<int> cols;
+  for (int d : failed_) cols.push_back(col_of(d));
+  const std::vector<int> lost = code_->erased_cells_of_columns(cols);
+  repair_.assign(kind_.size(), RecoveryRecipe{});
+  for (int cell : lost) {
+    auto plan = plan_repair(code_->cell_count(), code_->chain_specs(), lost,
+                            std::span(&cell, 1));
+    if (!plan) throw std::runtime_error("failure pattern is not decodable");
+    repair_[static_cast<std::size_t>(cell)] = std::move(plan->recipes[0]);
+  }
   invalidate_cache();
 }
 
@@ -843,10 +841,10 @@ void ArrayController::fail_disk(int disk) {
     throw std::runtime_error("fail_disk: fault tolerance exceeded");
   }
   failed_.insert(disk);
-  invalidate_recovery_state();
+  reset_recovery_state();
   emit_event(obs::EventLevel::kWarn,
              "disk " + std::to_string(disk) +
-                 " failed; recovery recipes and cache invalidated (" +
+                 " failed; recovery recipes refreshed, cache invalidated (" +
                  std::to_string(failed_.size()) + " concurrent)",
              disk);
 }
@@ -878,8 +876,8 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
   failed_.erase(disk);
   // The rebuild both changes the recovery recipes for any later failure
   // and rewrites the array underneath previously cached logical values
-  // of this column — drop both.
-  invalidate_recovery_state();
+  // of this column: re-plan the one, drop the other.
+  reset_recovery_state();
   emit_event(obs::EventLevel::kInfo,
              "disk " + std::to_string(disk) + " rebuilt: " +
                  std::to_string(rebuilt) + " blocks reconstructed",

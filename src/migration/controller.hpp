@@ -80,7 +80,8 @@ class ArrayController {
   void write(std::int64_t logical, std::span<const std::uint8_t> in);
 
   /// Ranged data-block I/O over [logical, logical + count); the buffer
-  /// holds count consecutive logical blocks.
+  /// holds count consecutive logical blocks. A stripe's run with a failed
+  /// cell in it is one repair plan, so each block it needs is read once.
   void read(std::int64_t logical, std::int64_t count,
             std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::int64_t count,
@@ -230,12 +231,9 @@ class ArrayController {
   std::span<const Cell> parity_inputs(int pflat) const;
   /// Parities fed by data cell index `idx` (CSR over flat arrays).
   std::span<const Cell> parities_of(int idx) const;
-  /// Recovery recipes for the current failure set (lazily solved).
-  const std::vector<RecoveryRecipe>& recipes();
   void read_cell(std::int64_t stripe, Cell c, std::span<std::uint8_t> out);
-  void reconstruct_cell(std::int64_t stripe, Cell c,
-                        std::span<std::uint8_t> out);
-  void invalidate_recovery_state();  // recipes + cache
+  /// Refills repair_ for the current failure set and drops the cache.
+  void reset_recovery_state();
   void read_run(std::int64_t stripe, int i0, int n,
                 std::span<std::uint8_t> out);
   /// The write planner (see header comment): applies `ops` — validated,
@@ -259,6 +257,11 @@ class ArrayController {
   /// to fail_disk/rebuild_disk, and throws on any other failure after
   /// issuing the whole batch.
   void read_cells(std::int64_t stripe, std::vector<CellRead>& io);
+  /// Whole blocks of data cells of one stripe, lost or not, through one
+  /// read_repaired call: a lost cell by its repair_ recipe, any other as
+  /// the identity recipe {c, {c}}, so a block shared by several recipes
+  /// is read once. Throws if a read fails after its retries.
+  void read_repaired_cells(std::int64_t stripe, std::span<const CellRead> io);
   void write_cells(std::int64_t stripe, std::vector<CellWrite>& io);
   void cache_fill(std::int64_t stripe, Cell c,
                   std::span<const std::uint8_t> v) {
@@ -293,8 +296,11 @@ class ArrayController {
                                        // (-1 for non-parity cells)
 
   std::set<int> failed_;                // failed disk ids
-  std::vector<RecoveryRecipe> recipes_; // for failed_ set
-  bool recipes_valid_ = false;
+  // Flat cell -> the recipe that reconstructs it under failed_ (target
+  // -1 for a surviving cell): its single-target plan_repair recipe, the
+  // chain-choice rule rebuild uses. Filled whenever failed_ changes, so
+  // readers under different stripe locks only ever read it.
+  std::vector<RecoveryRecipe> repair_;
 
   std::unique_ptr<StripeCache> cache_;  // null when disabled
   std::size_t cache_stripes_ = 0;

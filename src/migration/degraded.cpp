@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -81,6 +82,38 @@ struct BatchCells {
   }
 };
 
+// One call per run of `cells`, to or from `mem`. Reads are idempotent
+// and a rewrite repairs a torn block, so a faulted run is redone block
+// by block with retries.
+IoResult run_io(DiskArray& a, const BatchCells& cells,
+                std::span<std::uint8_t> mem, bool write,
+                const RetryPolicy& policy, IoCounters* counters) {
+  const std::size_t bs = a.block_bytes();
+  for (const BatchCells::Run& r : cells.runs) {
+    const auto buf =
+        mem.subspan(r.slot * bs, static_cast<std::size_t>(r.n) * bs);
+    if (counters) {
+      (write ? counters->writes : counters->reads) +=
+          static_cast<std::uint64_t>(r.n);
+    }
+    if ((write ? a.write_blocks(r.disk, r.block, r.n, buf)
+               : a.read_blocks(r.disk, r.block, r.n, buf))
+            .ok()) {
+      continue;
+    }
+    for (std::int64_t b = 0; b < r.n; ++b) {
+      const auto one = buf.subspan(static_cast<std::size_t>(b) * bs, bs);
+      const IoResult res =
+          write ? write_block_retry(a, r.disk, r.block + b, one, policy,
+                                    counters)
+                : read_block_retry(a, r.disk, r.block + b, one, policy,
+                                   counters);
+      if (!res.ok()) return res;
+    }
+  }
+  return IoResult::success();
+}
+
 }  // namespace
 
 IoResult read_block_retry(DiskArray& a, int disk, std::int64_t block,
@@ -112,31 +145,33 @@ IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
                     [&] { return a.write_range(disk, block, offset, in); });
 }
 
-IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
-                        std::span<std::uint8_t> out,
-                        const RetryPolicy& policy, IoCounters* counters) {
-  // Stage every chain member into one pooled arena, then fold them in a
-  // single accumulate pass — the parity is produced without re-reading
-  // out, and steady-state reconstruction allocates nothing.
+IoResult read_repaired(DiskArray& a, const ErasureCode& code,
+                       int virtual_cols, const RepairPlan& plan,
+                       std::int64_t first, std::int64_t count,
+                       std::span<std::uint8_t> out,
+                       const RetryPolicy& policy, IoCounters* counters) {
   const std::size_t bs = a.block_bytes();
-  PooledBuffer arena(bs * sources.size());
-  constexpr std::size_t kInline = 64;
-  const std::uint8_t* inline_srcs[kInline];
-  std::vector<const std::uint8_t*> heap_srcs;
-  const std::uint8_t** srcs = inline_srcs;
-  if (sources.size() > kInline) {
-    heap_srcs.resize(sources.size());
-    srcs = heap_srcs.data();
+  const BatchCells in(plan.reads, code, virtual_cols, first, count);
+  PooledBuffer src(in.slot.size() * bs);
+  if (const IoResult r = run_io(a, in, src.span(), false, policy, counters);
+      !r.ok()) {
+    return r;
   }
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    auto slot = arena.block(i, bs);
-    const IoResult r = read_block_retry(a, sources[i].disk, sources[i].block,
-                                        slot, policy, counters);
-    if (!r.ok()) return r;
-    srcs[i] = slot.data();
+  const std::size_t nr = plan.reads.size();
+  std::vector<const void*> srcs;
+  std::uint8_t* dst = out.data();
+  for (std::size_t s = 0; s < static_cast<std::size_t>(count); ++s) {
+    for (const RecoveryRecipe& recipe : plan.recipes) {
+      srcs.clear();
+      for (int c : recipe.sources) {
+        const auto i = static_cast<std::size_t>(
+            std::ranges::lower_bound(plan.reads, c) - plan.reads.begin());
+        srcs.push_back(src.data() + in.slot[s * nr + i] * bs);
+      }
+      xor_accumulate(dst, srcs.data(), srcs.size(), bs);
+      dst += bs;
+    }
   }
-  xor_accumulate(out.data(), reinterpret_cast<const void* const*>(srcs),
-                 sources.size(), bs);
   return IoResult::success();
 }
 
@@ -147,54 +182,18 @@ IoResult rebuild_stripes(DiskArray& a, const ErasureCode& code,
   const std::size_t bs = a.block_bytes();
   std::vector<int> targets;
   for (const RecoveryRecipe& r : plan.recipes) targets.push_back(r.target);
-  const BatchCells in(plan.reads, code, virtual_cols, first, count);
   const BatchCells out(targets, code, virtual_cols, first, count);
-  PooledBuffer src(in.slot.size() * bs), dst(out.slot.size() * bs);
-  // One call per run. Reads are idempotent and a rewrite repairs a torn
-  // block, so a faulted run is redone block by block with retries.
-  const auto run_io = [&](const BatchCells& cells, PooledBuffer& mem,
-                          bool write) {
-    for (const BatchCells::Run& r : cells.runs) {
-      const auto buf = mem.span().subspan(r.slot * bs,
-                                          static_cast<std::size_t>(r.n) * bs);
-      if (counters) {
-        (write ? counters->writes : counters->reads) +=
-            static_cast<std::uint64_t>(r.n);
-      }
-      if ((write ? a.write_blocks(r.disk, r.block, r.n, buf)
-                 : a.read_blocks(r.disk, r.block, r.n, buf))
-              .ok()) {
-        continue;
-      }
-      for (std::int64_t b = 0; b < r.n; ++b) {
-        const auto one = buf.subspan(static_cast<std::size_t>(b) * bs, bs);
-        const IoResult res =
-            write ? write_block_retry(a, r.disk, r.block + b, one, policy,
-                                      counters)
-                  : read_block_retry(a, r.disk, r.block + b, one, policy,
-                                     counters);
-        if (!res.ok()) return res;
-      }
-    }
-    return IoResult::success();
-  };
-  if (const IoResult r = run_io(in, src, false); !r.ok()) return r;
-
-  const std::size_t nr = plan.reads.size(), nt = targets.size();
-  std::vector<const void*> srcs;
-  for (std::size_t s = 0; s < static_cast<std::size_t>(count); ++s) {
-    for (std::size_t t = 0; t < nt; ++t) {
-      srcs.clear();
-      for (int c : plan.recipes[t].sources) {
-        const auto i = static_cast<std::size_t>(
-            std::ranges::lower_bound(plan.reads, c) - plan.reads.begin());
-        srcs.push_back(src.data() + in.slot[s * nr + i] * bs);
-      }
-      xor_accumulate(dst.data() + out.slot[s * nt + t] * bs, srcs.data(),
-                     srcs.size(), bs);
-    }
+  PooledBuffer rep(out.slot.size() * bs), dst(out.slot.size() * bs);
+  if (const IoResult r = read_repaired(a, code, virtual_cols, plan, first,
+                                       count, rep.span(), policy, counters);
+      !r.ok()) {
+    return r;
   }
-  return run_io(out, dst, true);
+  // Recipe order to disk order, so every write run is one range.
+  for (std::size_t k = 0; k < out.slot.size(); ++k) {
+    std::memcpy(dst.data() + out.slot[k] * bs, rep.data() + k * bs, bs);
+  }
+  return run_io(a, out, dst.span(), true, policy, counters);
 }
 
 }  // namespace c56::mig

@@ -1,11 +1,10 @@
 #pragma once
 // Shared degraded-I/O primitives over the fault-injecting DiskArray:
 // bounded retry-with-backoff for transient errors (latent sector errors
-// on reads, torn writes) and reconstruct-by-XOR-chain reads. The RAID
-// controller's recipe-driven reconstruction and the online migrator's
-// RAID-5 row reconstruction are both expressed through xor_chain_read,
-// so there is exactly one reconstruct-on-read code path; both rebuild
-// whole disks through rebuild_stripes.
+// on reads, torn writes) and the executor of a RepairPlan. read_repaired
+// is the one reconstruction routine: the RAID controller's degraded
+// reads, the online migrator's RAID-5 row reconstruction and both
+// components' whole-disk rebuilds (rebuild_stripes) run through it.
 
 #include <cstdint>
 #include <span>
@@ -15,11 +14,6 @@
 #include "migration/fault.hpp"
 
 namespace c56::mig {
-
-struct BlockAddr {
-  int disk = 0;
-  std::int64_t block = 0;
-};
 
 /// Attempt accounting for one degraded operation; callers fold these
 /// into their own stats under their own locking.
@@ -53,21 +47,22 @@ IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
                            std::span<const std::uint8_t> in,
                            const RetryPolicy& policy, IoCounters* counters);
 
-/// out = XOR of the addressed blocks, each read with retry (`out` is
-/// zeroed first). This is the reconstruct-on-read kernel: pass the
-/// surviving members of the failed block's parity chain. Fails on the
-/// first unreadable source.
-IoResult xor_chain_read(DiskArray& a, std::span<const BlockAddr> sources,
-                        std::span<std::uint8_t> out,
-                        const RetryPolicy& policy, IoCounters* counters);
+/// Read half of a RepairPlan (over `code`'s flat cells) on stripes
+/// [first, first + count): cell row * cols + col of stripe s is block
+/// s * rows + row of disk col - virtual_cols. Reads plan.reads of every
+/// stripe as per-disk runs of consecutive blocks (a faulted run is redone
+/// block by block with retries), then stores the XOR of recipe t of
+/// stripe first + s in block s * plan.recipes.size() + t of `out`. A
+/// recipe {c, {c}} copies a surviving cell. Returns the first read that
+/// failed for good.
+IoResult read_repaired(DiskArray& a, const ErasureCode& code,
+                       int virtual_cols, const RepairPlan& plan,
+                       std::int64_t first, std::int64_t count,
+                       std::span<std::uint8_t> out,
+                       const RetryPolicy& policy, IoCounters* counters);
 
-/// Execute `plan` (over `code`'s flat cells) on stripes [first, first +
-/// count): cell row * cols + col of stripe s is block s * rows + row of
-/// disk col - virtual_cols. Reads plan.reads of every stripe, XORs each
-/// recipe from memory, and writes the targets back, all as per-disk runs
-/// of consecutive blocks; a faulted run is redone block by block with
-/// retries. Returns the first I/O that failed for good; every read comes
-/// before the first write.
+/// read_repaired, then the targets written back as per-disk runs with
+/// the same fault fallback. Every read comes before the first write.
 IoResult rebuild_stripes(DiskArray& a, const ErasureCode& code,
                          int virtual_cols, const RepairPlan& plan,
                          std::int64_t first, std::int64_t count,

@@ -349,25 +349,24 @@ IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
     r = read_range_retry(array_, disk, block, offset, out, retry_, &c);
   }
   if (!r.ok() && disk < m_) {
-    // Reconstruct through the RAID-5 horizontal parity: every row of
-    // the source array XORs to zero, so the block is the XOR of the
-    // other m-1 blocks of its row (works for data and parity cells
-    // alike, and for hard sector errors as well as whole-disk loss).
-    // The chain covers whole blocks; only the range is copied out.
-    std::vector<BlockAddr> srcs;
-    srcs.reserve(static_cast<std::size_t>(m_ - 1));
+    // Reconstruct through the RAID-5 horizontal parity (Eq. 1): every
+    // row of the source array XORs to zero, so the block is the XOR of
+    // its m-1 row mates (data and parity cells alike, hard sector errors
+    // as well as whole-disk loss). The recipe covers whole blocks; only
+    // the range is copied out.
+    const auto row = static_cast<int>(block % code_.rows());
+    RepairPlan plan;
     bool possible = true;
     for (int d = 0; d < m_; ++d) {
       if (d == disk) continue;
-      if (array_.disk_failed(d)) {
-        possible = false;
-        break;
-      }
-      srcs.push_back({d, block});
+      possible = possible && !array_.disk_failed(d);
+      plan.reads.push_back(row * code_.cols() + d);
     }
+    plan.recipes.push_back({row * code_.cols() + disk, plan.reads});
     if (possible) {
       PooledBuffer whole(array_.block_bytes());
-      r = xor_chain_read(array_, srcs, whole.span(), retry_, &c);
+      r = read_repaired(array_, code_, 0, plan, block / code_.rows(), 1,
+                        whole.span(), retry_, &c);
       if (r.ok()) {
         std::memcpy(out.data(), whole.data() + offset, out.size());
         reconstructed = true;

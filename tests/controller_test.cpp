@@ -2,14 +2,17 @@
 // read/write round trips with parity maintenance, degraded reads and
 // writes under one and two disk failures, rebuild, and scrubbing. Also
 // pins the quantified "single write performance" of Table III and the
-// rebuild I/O per stripe of every code and failed disk.
+// rebuild I/O per stripe of every code and failed disk, and races
+// degraded readers on different stripes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "codes/code56.hpp"
 #include "codes/registry.hpp"
@@ -111,14 +114,14 @@ TEST_P(ControllerTest, DoubleFailureRebuildRestoresConsistency) {
 }
 
 TEST_P(ControllerTest, RecipesRefreshAcrossFailRebuildFailCycle) {
-  // Regression: the recovery recipes are lazily solved for the current
-  // failure set and must be re-solved after *every* change to it —
+  // Regression: the recovery recipes are planned for the current
+  // failure set and must be re-planned after *every* change to it —
   // rebuild_disk included. A controller that kept the disk-1 recipes
   // across the rebuild would XOR the wrong chains here and serve
   // garbage for disk 2 (or crash on a recipe whose target no longer
   // matches the failure set).
   ctrl_->fail_disk(1);
-  expect_all_readable();  // solves recipes for {1}
+  expect_all_readable();  // reads through the recipes for {1}
   ctrl_->rebuild_disk(1);
   EXPECT_TRUE(ctrl_->scrub().empty());
   ctrl_->fail_disk(2);    // different disk: recipes for {1} are useless
@@ -404,6 +407,40 @@ TEST(RebuildIoPins, EveryCodeAndFailedDisk) {
   }
   for (int d = 0; d < 10; ++d) check(CodeId::kCode56, 11, d, -1);
   EXPECT_EQ(checked, std::size(kRebuildPins));
+}
+
+/// Degraded reads on different stripes right after fail_disk share only
+/// the recovery recipes, which fail_disk has already planned: four
+/// threads, each reading its own stripes block by block, must see the
+/// mirror and (under TSan) race on nothing.
+TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
+  constexpr std::int64_t kRaceStripes = 64;
+  constexpr int kThreads = 4;
+  auto code = make_code(CodeId::kCode56, 5);
+  DiskArray array(code->cols(), kRaceStripes * code->rows(), kBlock);
+  ArrayController ctrl(array, std::move(code));
+  Buffer mirror(static_cast<std::size_t>(ctrl.logical_blocks()) * kBlock);
+  Rng(0x7A5).fill(mirror.data(), mirror.size());
+  ctrl.write(0, ctrl.logical_blocks(), mirror.span());
+  ctrl.fail_disk(0);
+  const std::int64_t per = ctrl.logical_blocks() / kRaceStripes;
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Buffer got(kBlock);
+      for (std::int64_t s = t; s < kRaceStripes; s += kThreads) {
+        for (std::int64_t l = s * per; l < (s + 1) * per; ++l) {
+          ctrl.read(l, got.span());
+          bad[static_cast<std::size_t>(t)] +=
+              !std::equal(got.span().begin(), got.span().end(),
+                          mirror.data() + l * kBlock);
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[t], 0) << "thread " << t;
 }
 
 TEST(Controller, RejectsBadGeometry) {

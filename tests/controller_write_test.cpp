@@ -2,12 +2,14 @@
 // traffic of every write shape on every code in the zoo (healthy and
 // degraded), plus the fault cases a write must survive without leaving
 // a stripe inconsistent — a failed parity pre-read, a failed parity
-// range read in the middle of a sub-block write, and torn writes.
+// range read in the middle of a sub-block write, and torn writes. The
+// degraded reads are pinned the same way.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "codes/registry.hpp"
@@ -354,6 +356,449 @@ TEST(WriteIoPins, EveryShapeOnEveryCode) {
     }
   }
   EXPECT_EQ(checked, std::size(kPins));
+}
+
+// ---------------------------------------------------------------------
+// Degraded reads, pinned the same way: the disk traffic of one read on a
+// prefilled two-stripe array under every single failed disk and under
+// disks {0, 1}, p = 5 and 7. The target is the first data block of
+// stripe 1 on a failed disk (on a parity-only disk, the first data block
+// of stripe 1). Each pin also carries the reads of the per-cell
+// reconstruction the shared plan executor replaced: a single block reads
+// exactly that many, a whole stripe never more.
+
+enum class ReadShape {
+  kOneBlock,     // read(l, out) of one block
+  kSubRange,     // read_range(l, 256, <512 B>)
+  kWholeStripe,  // read(l, per, out) over stripe 1
+};
+
+struct ReadPin {
+  CodeId id;
+  int p;
+  int disk, second;  // second = -1: one failed disk
+  ReadShape shape;
+  std::uint64_t reads, read_bytes, runs;
+  std::uint64_t per_cell_reads;
+};
+
+using enum ReadShape;
+const ReadPin kReadPins[] = {
+    {kEvenOdd, 5, 0, -1, kOneBlock, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 1, -1, kOneBlock, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 2, -1, kOneBlock, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 3, -1, kOneBlock, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 4, -1, kOneBlock, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 5, -1, kOneBlock, 1, 1024, 1, 1},
+    {kEvenOdd, 5, 6, -1, kOneBlock, 1, 1024, 1, 1},
+    {kEvenOdd, 5, 0, 1, kOneBlock, 10, 10240, 5, 10},
+    {kEvenOdd, 5, 0, -1, kSubRange, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 1, -1, kSubRange, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 2, -1, kSubRange, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 3, -1, kSubRange, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 4, -1, kSubRange, 5, 5120, 5, 5},
+    {kEvenOdd, 5, 5, -1, kSubRange, 1, 512, 1, 1},
+    {kEvenOdd, 5, 6, -1, kSubRange, 1, 512, 1, 1},
+    {kEvenOdd, 5, 0, 1, kSubRange, 10, 10240, 5, 10},
+    {kEvenOdd, 5, 0, -1, kWholeStripe, 20, 20480, 5, 36},
+    {kEvenOdd, 5, 1, -1, kWholeStripe, 20, 20480, 5, 36},
+    {kEvenOdd, 5, 2, -1, kWholeStripe, 20, 20480, 5, 36},
+    {kEvenOdd, 5, 3, -1, kWholeStripe, 20, 20480, 5, 36},
+    {kEvenOdd, 5, 4, -1, kWholeStripe, 20, 20480, 5, 36},
+    {kEvenOdd, 5, 5, -1, kWholeStripe, 20, 20480, 5, 20},
+    {kEvenOdd, 5, 6, -1, kWholeStripe, 20, 20480, 5, 20},
+    {kEvenOdd, 5, 0, 1, kWholeStripe, 20, 20480, 5, 104},
+    {kEvenOdd, 7, 0, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 1, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 2, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 3, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 4, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 5, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 6, -1, kOneBlock, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 7, -1, kOneBlock, 1, 1024, 1, 1},
+    {kEvenOdd, 7, 8, -1, kOneBlock, 1, 1024, 1, 1},
+    {kEvenOdd, 7, 0, 1, kOneBlock, 16, 16384, 7, 16},
+    {kEvenOdd, 7, 0, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 1, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 2, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 3, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 4, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 5, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 6, -1, kSubRange, 7, 7168, 7, 7},
+    {kEvenOdd, 7, 7, -1, kSubRange, 1, 512, 1, 1},
+    {kEvenOdd, 7, 8, -1, kSubRange, 1, 512, 1, 1},
+    {kEvenOdd, 7, 0, 1, kSubRange, 16, 16384, 7, 16},
+    {kEvenOdd, 7, 0, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 1, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 2, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 3, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 4, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 5, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 6, -1, kWholeStripe, 42, 43008, 7, 78},
+    {kEvenOdd, 7, 7, -1, kWholeStripe, 42, 43008, 7, 42},
+    {kEvenOdd, 7, 8, -1, kWholeStripe, 42, 43008, 7, 42},
+    {kEvenOdd, 7, 0, 1, kWholeStripe, 42, 43008, 7, 284},
+    {kRdp, 5, 0, -1, kOneBlock, 4, 4096, 4, 4},
+    {kRdp, 5, 1, -1, kOneBlock, 4, 4096, 4, 4},
+    {kRdp, 5, 2, -1, kOneBlock, 4, 4096, 4, 4},
+    {kRdp, 5, 3, -1, kOneBlock, 4, 4096, 4, 4},
+    {kRdp, 5, 4, -1, kOneBlock, 1, 1024, 1, 1},
+    {kRdp, 5, 5, -1, kOneBlock, 1, 1024, 1, 1},
+    {kRdp, 5, 0, 1, kOneBlock, 4, 4096, 4, 4},
+    {kRdp, 5, 0, -1, kSubRange, 4, 4096, 4, 4},
+    {kRdp, 5, 1, -1, kSubRange, 4, 4096, 4, 4},
+    {kRdp, 5, 2, -1, kSubRange, 4, 4096, 4, 4},
+    {kRdp, 5, 3, -1, kSubRange, 4, 4096, 4, 4},
+    {kRdp, 5, 4, -1, kSubRange, 1, 512, 1, 1},
+    {kRdp, 5, 5, -1, kSubRange, 1, 512, 1, 1},
+    {kRdp, 5, 0, 1, kSubRange, 4, 4096, 4, 4},
+    {kRdp, 5, 0, -1, kWholeStripe, 16, 16384, 4, 28},
+    {kRdp, 5, 1, -1, kWholeStripe, 16, 16384, 4, 28},
+    {kRdp, 5, 2, -1, kWholeStripe, 16, 16384, 4, 28},
+    {kRdp, 5, 3, -1, kWholeStripe, 16, 16384, 4, 28},
+    {kRdp, 5, 4, -1, kWholeStripe, 16, 16384, 4, 16},
+    {kRdp, 5, 5, -1, kWholeStripe, 16, 16384, 4, 16},
+    {kRdp, 5, 0, 1, kWholeStripe, 16, 16384, 4, 80},
+    {kRdp, 7, 0, -1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 1, -1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 2, -1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 3, -1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 4, -1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 5, -1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 6, -1, kOneBlock, 1, 1024, 1, 1},
+    {kRdp, 7, 7, -1, kOneBlock, 1, 1024, 1, 1},
+    {kRdp, 7, 0, 1, kOneBlock, 6, 6144, 6, 6},
+    {kRdp, 7, 0, -1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 1, -1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 2, -1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 3, -1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 4, -1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 5, -1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 6, -1, kSubRange, 1, 512, 1, 1},
+    {kRdp, 7, 7, -1, kSubRange, 1, 512, 1, 1},
+    {kRdp, 7, 0, 1, kSubRange, 6, 6144, 6, 6},
+    {kRdp, 7, 0, -1, kWholeStripe, 36, 36864, 6, 66},
+    {kRdp, 7, 1, -1, kWholeStripe, 36, 36864, 6, 66},
+    {kRdp, 7, 2, -1, kWholeStripe, 36, 36864, 6, 66},
+    {kRdp, 7, 3, -1, kWholeStripe, 36, 36864, 6, 66},
+    {kRdp, 7, 4, -1, kWholeStripe, 36, 36864, 6, 66},
+    {kRdp, 7, 5, -1, kWholeStripe, 36, 36864, 6, 66},
+    {kRdp, 7, 6, -1, kWholeStripe, 36, 36864, 6, 36},
+    {kRdp, 7, 7, -1, kWholeStripe, 36, 36864, 6, 36},
+    {kRdp, 7, 0, 1, kWholeStripe, 36, 36864, 6, 236},
+    {kHCode, 5, 0, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHCode, 5, 1, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHCode, 5, 2, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHCode, 5, 3, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHCode, 5, 4, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHCode, 5, 5, -1, kOneBlock, 1, 1024, 1, 1},
+    {kHCode, 5, 0, 1, kOneBlock, 4, 4096, 4, 4},
+    {kHCode, 5, 0, -1, kSubRange, 4, 4096, 4, 4},
+    {kHCode, 5, 1, -1, kSubRange, 4, 4096, 4, 4},
+    {kHCode, 5, 2, -1, kSubRange, 4, 4096, 4, 4},
+    {kHCode, 5, 3, -1, kSubRange, 4, 4096, 4, 4},
+    {kHCode, 5, 4, -1, kSubRange, 4, 4096, 4, 4},
+    {kHCode, 5, 5, -1, kSubRange, 1, 512, 1, 1},
+    {kHCode, 5, 0, 1, kSubRange, 4, 4096, 4, 4},
+    {kHCode, 5, 0, -1, kWholeStripe, 16, 16384, 7, 28},
+    {kHCode, 5, 1, -1, kWholeStripe, 16, 16384, 7, 25},
+    {kHCode, 5, 2, -1, kWholeStripe, 16, 16384, 7, 25},
+    {kHCode, 5, 3, -1, kWholeStripe, 16, 16384, 7, 25},
+    {kHCode, 5, 4, -1, kWholeStripe, 16, 16384, 7, 25},
+    {kHCode, 5, 5, -1, kWholeStripe, 16, 16384, 7, 16},
+    {kHCode, 5, 0, 1, kWholeStripe, 16, 16384, 4, 74},
+    {kHCode, 7, 0, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 1, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 2, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 3, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 4, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 5, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 6, -1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 7, -1, kOneBlock, 1, 1024, 1, 1},
+    {kHCode, 7, 0, 1, kOneBlock, 6, 6144, 6, 6},
+    {kHCode, 7, 0, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 1, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 2, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 3, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 4, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 5, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 6, -1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 7, -1, kSubRange, 1, 512, 1, 1},
+    {kHCode, 7, 0, 1, kSubRange, 6, 6144, 6, 6},
+    {kHCode, 7, 0, -1, kWholeStripe, 36, 36864, 11, 66},
+    {kHCode, 7, 1, -1, kWholeStripe, 36, 36864, 11, 61},
+    {kHCode, 7, 2, -1, kWholeStripe, 36, 36864, 11, 61},
+    {kHCode, 7, 3, -1, kWholeStripe, 36, 36864, 11, 61},
+    {kHCode, 7, 4, -1, kWholeStripe, 36, 36864, 11, 61},
+    {kHCode, 7, 5, -1, kWholeStripe, 36, 36864, 11, 61},
+    {kHCode, 7, 6, -1, kWholeStripe, 36, 36864, 11, 61},
+    {kHCode, 7, 7, -1, kWholeStripe, 36, 36864, 11, 36},
+    {kHCode, 7, 0, 1, kWholeStripe, 36, 36864, 6, 226},
+    {kXCode, 5, 0, -1, kOneBlock, 3, 3072, 3, 3},
+    {kXCode, 5, 1, -1, kOneBlock, 3, 3072, 3, 3},
+    {kXCode, 5, 2, -1, kOneBlock, 3, 3072, 3, 3},
+    {kXCode, 5, 3, -1, kOneBlock, 3, 3072, 3, 3},
+    {kXCode, 5, 4, -1, kOneBlock, 3, 3072, 3, 3},
+    {kXCode, 5, 0, 1, kOneBlock, 3, 3072, 3, 3},
+    {kXCode, 5, 0, -1, kSubRange, 3, 3072, 3, 3},
+    {kXCode, 5, 1, -1, kSubRange, 3, 3072, 3, 3},
+    {kXCode, 5, 2, -1, kSubRange, 3, 3072, 3, 3},
+    {kXCode, 5, 3, -1, kSubRange, 3, 3072, 3, 3},
+    {kXCode, 5, 4, -1, kSubRange, 3, 3072, 3, 3},
+    {kXCode, 5, 0, 1, kSubRange, 3, 3072, 3, 3},
+    {kXCode, 5, 0, -1, kWholeStripe, 15, 15360, 4, 21},
+    {kXCode, 5, 1, -1, kWholeStripe, 15, 15360, 4, 21},
+    {kXCode, 5, 2, -1, kWholeStripe, 15, 15360, 4, 21},
+    {kXCode, 5, 3, -1, kWholeStripe, 15, 15360, 4, 21},
+    {kXCode, 5, 4, -1, kWholeStripe, 15, 15360, 4, 21},
+    {kXCode, 5, 0, 1, kWholeStripe, 15, 15360, 3, 39},
+    {kXCode, 7, 0, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 1, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 2, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 3, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 4, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 5, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 6, -1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 0, 1, kOneBlock, 5, 5120, 5, 5},
+    {kXCode, 7, 0, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 1, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 2, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 3, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 4, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 5, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 6, -1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 0, 1, kSubRange, 5, 5120, 5, 5},
+    {kXCode, 7, 0, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 1, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 2, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 3, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 4, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 5, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 6, -1, kWholeStripe, 35, 35840, 6, 55},
+    {kXCode, 7, 0, 1, kWholeStripe, 35, 35840, 5, 143},
+    {kPCode, 5, 0, -1, kOneBlock, 2, 2048, 2, 2},
+    {kPCode, 5, 1, -1, kOneBlock, 2, 2048, 2, 2},
+    {kPCode, 5, 2, -1, kOneBlock, 2, 2048, 2, 2},
+    {kPCode, 5, 3, -1, kOneBlock, 2, 2048, 2, 2},
+    {kPCode, 5, 0, 1, kOneBlock, 2, 2048, 2, 2},
+    {kPCode, 5, 0, -1, kSubRange, 2, 2048, 2, 2},
+    {kPCode, 5, 1, -1, kSubRange, 2, 2048, 2, 2},
+    {kPCode, 5, 2, -1, kSubRange, 2, 2048, 2, 2},
+    {kPCode, 5, 3, -1, kSubRange, 2, 2048, 2, 2},
+    {kPCode, 5, 0, 1, kSubRange, 2, 2048, 2, 2},
+    {kPCode, 5, 0, -1, kWholeStripe, 4, 4096, 3, 5},
+    {kPCode, 5, 1, -1, kWholeStripe, 4, 4096, 3, 5},
+    {kPCode, 5, 2, -1, kWholeStripe, 4, 4096, 3, 5},
+    {kPCode, 5, 3, -1, kWholeStripe, 4, 4096, 3, 5},
+    {kPCode, 5, 0, 1, kWholeStripe, 4, 4096, 2, 7},
+    {kPCode, 7, 0, -1, kOneBlock, 4, 4096, 4, 4},
+    {kPCode, 7, 1, -1, kOneBlock, 4, 4096, 4, 4},
+    {kPCode, 7, 2, -1, kOneBlock, 4, 4096, 4, 4},
+    {kPCode, 7, 3, -1, kOneBlock, 4, 4096, 4, 4},
+    {kPCode, 7, 4, -1, kOneBlock, 4, 4096, 4, 4},
+    {kPCode, 7, 5, -1, kOneBlock, 4, 4096, 4, 4},
+    {kPCode, 7, 0, 1, kOneBlock, 8, 8192, 4, 8},
+    {kPCode, 7, 0, -1, kSubRange, 4, 4096, 4, 4},
+    {kPCode, 7, 1, -1, kSubRange, 4, 4096, 4, 4},
+    {kPCode, 7, 2, -1, kSubRange, 4, 4096, 4, 4},
+    {kPCode, 7, 3, -1, kSubRange, 4, 4096, 4, 4},
+    {kPCode, 7, 4, -1, kSubRange, 4, 4096, 4, 4},
+    {kPCode, 7, 5, -1, kSubRange, 4, 4096, 4, 4},
+    {kPCode, 7, 0, 1, kSubRange, 8, 8192, 4, 8},
+    {kPCode, 7, 0, -1, kWholeStripe, 12, 12288, 5, 18},
+    {kPCode, 7, 1, -1, kWholeStripe, 12, 12288, 5, 18},
+    {kPCode, 7, 2, -1, kWholeStripe, 12, 12288, 5, 18},
+    {kPCode, 7, 3, -1, kWholeStripe, 12, 12288, 5, 18},
+    {kPCode, 7, 4, -1, kWholeStripe, 12, 12288, 5, 18},
+    {kPCode, 7, 5, -1, kWholeStripe, 12, 12288, 5, 18},
+    {kPCode, 7, 0, 1, kWholeStripe, 12, 12288, 4, 36},
+    {kHdp, 5, 0, -1, kOneBlock, 2, 2048, 2, 2},
+    {kHdp, 5, 1, -1, kOneBlock, 2, 2048, 2, 2},
+    {kHdp, 5, 2, -1, kOneBlock, 2, 2048, 2, 2},
+    {kHdp, 5, 3, -1, kOneBlock, 2, 2048, 2, 2},
+    {kHdp, 5, 0, 1, kOneBlock, 2, 2048, 2, 2},
+    {kHdp, 5, 0, -1, kSubRange, 2, 2048, 2, 2},
+    {kHdp, 5, 1, -1, kSubRange, 2, 2048, 2, 2},
+    {kHdp, 5, 2, -1, kSubRange, 2, 2048, 2, 2},
+    {kHdp, 5, 3, -1, kSubRange, 2, 2048, 2, 2},
+    {kHdp, 5, 0, 1, kSubRange, 2, 2048, 2, 2},
+    {kHdp, 5, 0, -1, kWholeStripe, 8, 8192, 5, 10},
+    {kHdp, 5, 1, -1, kWholeStripe, 8, 8192, 4, 10},
+    {kHdp, 5, 2, -1, kWholeStripe, 8, 8192, 4, 10},
+    {kHdp, 5, 3, -1, kWholeStripe, 8, 8192, 5, 10},
+    {kHdp, 5, 0, 1, kWholeStripe, 8, 8192, 2, 21},
+    {kHdp, 7, 0, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 1, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 2, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 3, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 4, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 5, -1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 0, 1, kOneBlock, 4, 4096, 4, 4},
+    {kHdp, 7, 0, -1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 1, -1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 2, -1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 3, -1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 4, -1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 5, -1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 0, 1, kSubRange, 4, 4096, 4, 4},
+    {kHdp, 7, 0, -1, kWholeStripe, 24, 24576, 9, 36},
+    {kHdp, 7, 1, -1, kWholeStripe, 24, 24576, 8, 36},
+    {kHdp, 7, 2, -1, kWholeStripe, 24, 24576, 9, 36},
+    {kHdp, 7, 3, -1, kWholeStripe, 24, 24576, 9, 36},
+    {kHdp, 7, 4, -1, kWholeStripe, 24, 24576, 8, 36},
+    {kHdp, 7, 5, -1, kWholeStripe, 24, 24576, 9, 36},
+    {kHdp, 7, 0, 1, kWholeStripe, 24, 24576, 4, 121},
+    {kCode56, 5, 0, -1, kOneBlock, 3, 3072, 3, 3},
+    {kCode56, 5, 1, -1, kOneBlock, 3, 3072, 3, 3},
+    {kCode56, 5, 2, -1, kOneBlock, 3, 3072, 3, 3},
+    {kCode56, 5, 3, -1, kOneBlock, 3, 3072, 3, 3},
+    {kCode56, 5, 4, -1, kOneBlock, 1, 1024, 1, 1},
+    {kCode56, 5, 0, 1, kOneBlock, 3, 3072, 3, 3},
+    {kCode56, 5, 0, -1, kSubRange, 3, 3072, 3, 3},
+    {kCode56, 5, 1, -1, kSubRange, 3, 3072, 3, 3},
+    {kCode56, 5, 2, -1, kSubRange, 3, 3072, 3, 3},
+    {kCode56, 5, 3, -1, kSubRange, 3, 3072, 3, 3},
+    {kCode56, 5, 4, -1, kSubRange, 1, 512, 1, 1},
+    {kCode56, 5, 0, 1, kSubRange, 3, 3072, 3, 3},
+    {kCode56, 5, 0, -1, kWholeStripe, 12, 12288, 3, 18},
+    {kCode56, 5, 1, -1, kWholeStripe, 12, 12288, 3, 18},
+    {kCode56, 5, 2, -1, kWholeStripe, 12, 12288, 3, 18},
+    {kCode56, 5, 3, -1, kWholeStripe, 12, 12288, 3, 18},
+    {kCode56, 5, 4, -1, kWholeStripe, 12, 12288, 6, 12},
+    {kCode56, 5, 0, 1, kWholeStripe, 12, 12288, 3, 42},
+    {kCode56, 7, 0, -1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 1, -1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 2, -1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 3, -1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 4, -1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 5, -1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 6, -1, kOneBlock, 1, 1024, 1, 1},
+    {kCode56, 7, 0, 1, kOneBlock, 5, 5120, 5, 5},
+    {kCode56, 7, 0, -1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 1, -1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 2, -1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 3, -1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 4, -1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 5, -1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 6, -1, kSubRange, 1, 512, 1, 1},
+    {kCode56, 7, 0, 1, kSubRange, 5, 5120, 5, 5},
+    {kCode56, 7, 0, -1, kWholeStripe, 30, 30720, 5, 50},
+    {kCode56, 7, 1, -1, kWholeStripe, 30, 30720, 5, 50},
+    {kCode56, 7, 2, -1, kWholeStripe, 30, 30720, 5, 50},
+    {kCode56, 7, 3, -1, kWholeStripe, 30, 30720, 5, 50},
+    {kCode56, 7, 4, -1, kWholeStripe, 30, 30720, 5, 50},
+    {kCode56, 7, 5, -1, kWholeStripe, 30, 30720, 5, 50},
+    {kCode56, 7, 6, -1, kWholeStripe, 30, 30720, 10, 30},
+    {kCode56, 7, 0, 1, kWholeStripe, 30, 30720, 5, 170},
+};
+
+const char* name(ReadShape s) {
+  switch (s) {
+    case ReadShape::kOneBlock: return "kOneBlock";
+    case ReadShape::kSubRange: return "kSubRange";
+    case ReadShape::kWholeStripe: return "kWholeStripe";
+  }
+  return "?";
+}
+
+/// Runs one pinned read and returns its traffic (writes and write bytes
+/// must stay zero), checking the bytes read against the written mirror.
+IoShape measure_read(CodeId id, int p, int disk, int second, ReadShape shape) {
+  auto code = make_code(id, p);
+  const ErasureCode& c = *code;
+  std::vector<Cell> data;
+  for (int r = 0; r < c.rows(); ++r) {
+    for (int col = 0; col < c.cols(); ++col) {
+      if (c.kind({r, col}) == CellKind::kData) data.push_back({r, col});
+    }
+  }
+  const auto per = static_cast<std::int64_t>(data.size());
+  const auto on_failed = std::find_if(data.begin(), data.end(), [&](Cell x) {
+    return x.col == disk || x.col == second;
+  });
+  const std::int64_t target =
+      per + (on_failed == data.end() ? 0 : on_failed - data.begin());
+
+  DiskArray array(c.cols(), 2LL * c.rows(), kPinBlock);
+  ArrayController ctrl(array, std::move(code));
+  Buffer mirror(static_cast<std::size_t>(2 * per) * kPinBlock);
+  Rng(0xDE6).fill(mirror.data(), mirror.size());
+  ctrl.write(0, 2 * per, mirror.span());
+  ctrl.fail_disk(disk);
+  if (second >= 0) ctrl.fail_disk(second);
+
+  Buffer got(static_cast<std::size_t>(per) * kPinBlock);
+  const IoShape before = totals(array);
+  std::size_t from = static_cast<std::size_t>(target) * kPinBlock, len = 0;
+  switch (shape) {
+    case ReadShape::kOneBlock:
+      len = kPinBlock;
+      ctrl.read(target, got.span().subspan(0, len));
+      break;
+    case ReadShape::kSubRange:
+      from += 256;
+      len = 512;
+      ctrl.read_range(target, 256, got.span().subspan(0, len));
+      break;
+    case ReadShape::kWholeStripe:
+      from = static_cast<std::size_t>(per) * kPinBlock;
+      len = got.size();
+      ctrl.read(per, per, got.span());
+      break;
+  }
+  const IoShape after = totals(array);
+  EXPECT_TRUE(std::equal(got.data(), got.data() + len, mirror.data() + from))
+      << to_string(id) << " p=" << p << " disk " << disk << " second "
+      << second << " " << name(shape);
+  return {after.reads - before.reads, after.writes - before.writes,
+          after.read_bytes - before.read_bytes,
+          after.write_bytes - before.write_bytes, after.runs - before.runs};
+}
+
+TEST(DegradedReadIoPins, EveryCodeAndFailedDisk) {
+  std::size_t checked = 0;
+  const auto check = [&](CodeId id, int p, int disk, int second,
+                         ReadShape shape) {
+    const IoShape got = measure_read(id, p, disk, second, shape);
+    const std::string where = std::string(to_string(id)) + " p=" +
+                              std::to_string(p) + " disk " +
+                              std::to_string(disk) + " second " +
+                              std::to_string(second) + " " + name(shape);
+    EXPECT_EQ(got.writes, 0u) << where;
+    EXPECT_EQ(got.write_bytes, 0u) << where;
+    const auto it = std::find_if(
+        std::begin(kReadPins), std::end(kReadPins), [&](const ReadPin& x) {
+          return x.id == id && x.p == p && x.disk == disk &&
+                 x.second == second && x.shape == shape;
+        });
+    if (it == std::end(kReadPins)) {
+      ADD_FAILURE() << "no pin for " << where;
+      std::printf("PIN {%d, %d, %d, %d, %s, %llu, %llu, %llu}\n",
+                  static_cast<int>(id), p, disk, second, name(shape),
+                  static_cast<unsigned long long>(got.reads),
+                  static_cast<unsigned long long>(got.read_bytes),
+                  static_cast<unsigned long long>(got.runs));
+      return;
+    }
+    ++checked;
+    EXPECT_EQ(got.reads, it->reads) << where;
+    EXPECT_EQ(got.read_bytes, it->read_bytes) << where;
+    EXPECT_EQ(got.runs, it->runs) << where;
+    EXPECT_LE(it->reads, it->per_cell_reads) << where;
+    if (shape != ReadShape::kWholeStripe) {
+      EXPECT_EQ(it->reads, it->per_cell_reads) << where;
+    }
+  };
+  for (CodeId id : all_code_ids()) {
+    for (int p : {5, 7}) {
+      const int disks = make_code(id, p)->cols();
+      for (ReadShape shape : {kOneBlock, kSubRange, kWholeStripe}) {
+        for (int d = 0; d < disks; ++d) check(id, p, d, -1, shape);
+        check(id, p, 0, 1, shape);
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kReadPins));
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "codes/code56.hpp"
 #include "migration/degraded.hpp"
 #include "migration/disk_array.hpp"
 #include "migration/journal.hpp"
@@ -198,23 +199,33 @@ TEST(DegradedIo, WriteRetryRepairsTornWrites) {
   EXPECT_GT(c.retries, 0u);
 }
 
-TEST(DegradedIo, XorChainReadReconstructs) {
+// Code 5-6 at p = 3 is one 2 x 3 stripe: cell 2 is block 0 of disk 2,
+// and the plan reconstructs it from block 0 of disks 0 and 1.
+RepairPlan row_zero_plan() {
+  RepairPlan plan;
+  plan.recipes.push_back({2, {0, 1}});
+  plan.reads = {0, 1};
+  return plan;
+}
+
+TEST(DegradedIo, ReadRepairedReconstructs) {
   DiskArray a(3, 2, kBlock);
   std::vector<std::uint8_t> b0(kBlock, 0x0F), b1(kBlock, 0xF0);
   a.write_block(0, 0, b0);
   a.write_block(1, 0, b1);
   std::vector<std::uint8_t> out(kBlock, 0xAA);
-  const BlockAddr srcs[] = {{0, 0}, {1, 0}};
-  EXPECT_TRUE(xor_chain_read(a, srcs, out, fast_retry(), nullptr).ok());
+  EXPECT_TRUE(read_repaired(a, Code56(3), 0, row_zero_plan(), 0, 1, out,
+                            fast_retry(), nullptr)
+                  .ok());
   EXPECT_TRUE(std::ranges::all_of(out, [](std::uint8_t b) { return b == 0xFF; }));
 }
 
-TEST(DegradedIo, XorChainReadFailsOnFailedSource) {
+TEST(DegradedIo, ReadRepairedFailsOnFailedSource) {
   DiskArray a(3, 2, kBlock);
   a.fail_disk(1);
   std::vector<std::uint8_t> out(kBlock);
-  const BlockAddr srcs[] = {{0, 0}, {1, 0}};
-  const IoResult r = xor_chain_read(a, srcs, out, fast_retry(), nullptr);
+  const IoResult r = read_repaired(a, Code56(3), 0, row_zero_plan(), 0, 1, out,
+                                   fast_retry(), nullptr);
   EXPECT_EQ(r.status, IoStatus::kDiskFailed);
   EXPECT_EQ(r.disk, 1);
 }

@@ -107,7 +107,7 @@ TEST(MigrationMonitor, StallFiresWhenTheWatermarkFreezes) {
   // A planted bad block reads kSectorError until rewritten, so every
   // retry fails and the single worker sleeps the full backoff ladder:
   // 500us * (2^12 - 1) ~= 2 s of real time with the watermark pinned at
-  // row 0, before xor_chain_read reconstructs and conversion resumes.
+  // row 0, before read_repaired reconstructs and conversion resumes.
   // The poll_at() calls below take microseconds, so they all land
   // inside the freeze; their timestamps are synthetic and only ordered
   // against each other.
