@@ -1,8 +1,14 @@
 // Algorithm 2 under load: wall-clock conversion time of the online
 // migrator while an application thread issues writes at increasing
-// rates, plus the converter's preemption count. Demonstrates the
+// rates, plus the converter's preemption count and its reads, read
+// runs, writes and write runs per converted data block. Demonstrates the
 // paper's claim that conversion and application I/O coexist because
 // they touch disjoint disks except on writes.
+//
+// Usage: online_overhead [p] [groups]. Exits 1 if any run fails
+// verify_raid6(), or if the run without writers leaves the per-group
+// closed forms: per data block, reads 1, writes 1/(p-2), read runs
+// 2/(p-1) and write runs 1/((p-1)(p-2)).
 
 #include <chrono>
 #include <cstdio>
@@ -40,6 +46,9 @@ struct Result {
   double conversion_ms;
   std::uint64_t app_ops;
   std::uint64_t preemptions;
+  // Conversion I/O. Every application I/O is one single-block call,
+  // i.e. one run, so the conversion's runs are the array's less those.
+  std::uint64_t reads, read_runs, writes, write_runs;
   bool verified;
 };
 
@@ -77,7 +86,12 @@ Result run(int p, std::int64_t groups, int writer_threads) {
   r.conversion_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.app_ops = ops.load();
-  r.preemptions = mig.stats().interruptions;
+  const c56::mig::OnlineStats s = mig.stats();
+  r.preemptions = s.interruptions;
+  r.reads = s.conv_reads;
+  r.read_runs = array.total_read_runs() - s.app_reads;
+  r.writes = s.conv_writes;
+  r.write_runs = array.total_write_runs() - s.app_writes;
   r.verified = mig.verify_raid6();
   return r;
 }
@@ -93,19 +107,52 @@ int main(int argc, char** argv) {
       "blocks, in-memory array)\n\n",
       p, static_cast<long long>(groups), kBlock);
   c56::TextTable t({"writer threads", "conversion (ms)", "app writes",
-                    "preemptions", "RAID-6 valid"});
+                    "preemptions", "reads/blk", "read runs/blk",
+                    "writes/blk", "write runs/blk", "RAID-6 valid"});
+  const auto data_blocks =
+      static_cast<std::uint64_t>(groups) * static_cast<std::uint64_t>(p - 1) *
+      static_cast<std::uint64_t>(p - 2);
+  const auto per_blk = [&](std::uint64_t n) {
+    return c56::TextTable::fmt(
+        static_cast<double>(n) / static_cast<double>(data_blocks), 4);
+  };
+  bool ok = true;
   for (int writers : {0, 1, 2, 4}) {
     const Result r = run(p, groups, writers);
     t.add_row({std::to_string(writers),
                c56::TextTable::fmt(r.conversion_ms, 1),
                std::to_string(r.app_ops), std::to_string(r.preemptions),
-               r.verified ? "yes" : "NO"});
+               per_blk(r.reads), per_blk(r.read_runs), per_blk(r.writes),
+               per_blk(r.write_runs), r.verified ? "yes" : "NO"});
+    ok = ok && r.verified;
+    if (writers == 0) {
+      const auto q = static_cast<std::uint64_t>(p);
+      const bool closed = r.reads == data_blocks &&
+                          r.writes * (q - 2) == data_blocks &&
+                          r.read_runs * (q - 1) == 2 * data_blocks &&
+                          r.write_runs * (q - 1) * (q - 2) == data_blocks;
+      if (!closed) {
+        std::fprintf(stderr,
+                     "FAIL: conversion I/O off the closed forms: %llu reads, "
+                     "%llu read runs, %llu writes, %llu write runs for %llu "
+                     "data blocks\n",
+                     static_cast<unsigned long long>(r.reads),
+                     static_cast<unsigned long long>(r.read_runs),
+                     static_cast<unsigned long long>(r.writes),
+                     static_cast<unsigned long long>(r.write_runs),
+                     static_cast<unsigned long long>(data_blocks));
+      }
+      ok = ok && closed;
+    }
   }
   std::ostringstream os;
   t.print(os);
   std::fputs(os.str().c_str(), stdout);
   std::printf(
       "\nEvery run must end with a byte-consistent RAID-6 regardless of "
-      "write pressure\n(Algorithm 2's interrupt/resume protocol).\n");
-  return 0;
+      "write pressure\n(Algorithm 2's interrupt/resume protocol). Without "
+      "writers, per data block: reads 1,\nwrites 1/(p-2), read runs 2/(p-1), "
+      "write runs 1/((p-1)(p-2)).\n");
+  if (!ok) std::fprintf(stderr, "online_overhead: gate FAILED\n");
+  return ok ? 0 : 1;
 }

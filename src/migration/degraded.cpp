@@ -96,11 +96,11 @@ IoResult run_io(DiskArray& a, const BatchCells& cells,
       (write ? counters->writes : counters->reads) +=
           static_cast<std::uint64_t>(r.n);
     }
-    if ((write ? a.write_blocks(r.disk, r.block, r.n, buf)
-               : a.read_blocks(r.disk, r.block, r.n, buf))
-            .ok()) {
-      continue;
-    }
+    const IoResult whole = write ? a.write_blocks(r.disk, r.block, r.n, buf)
+                                 : a.read_blocks(r.disk, r.block, r.n, buf);
+    if (whole.ok()) continue;
+    // A transient fault's block-by-block redo is the run's retry.
+    if (counters && transient(whole.status)) ++counters->retries;
     for (std::int64_t b = 0; b < r.n; ++b) {
       const auto one = buf.subspan(static_cast<std::size_t>(b) * bs, bs);
       const IoResult res =

@@ -50,8 +50,9 @@ IoResult write_range_retry(DiskArray& a, int disk, std::int64_t block,
 /// Read half of a RepairPlan (over `code`'s flat cells) on stripes
 /// [first, first + count): cell row * cols + col of stripe s is block
 /// s * rows + row of disk col - virtual_cols. Reads plan.reads of every
-/// stripe as per-disk runs of consecutive blocks (a faulted run is redone
-/// block by block with retries), then stores the XOR of recipe t of
+/// stripe as per-disk runs of consecutive blocks (a run that faults is
+/// redone block by block with retries, the redo counting as one retry
+/// when the fault was transient), then stores the XOR of recipe t of
 /// stripe first + s in block s * plan.recipes.size() + t of `out`. A
 /// recipe {c, {c}} copies a surviving cell. Returns the first read that
 /// failed for good.

@@ -32,10 +32,15 @@ DiskArray::DiskArray(int disks, std::int64_t blocks_per_disk,
   for (int d = 0; d < disks; ++d) add_disk();
 }
 
-int DiskArray::add_disk() {
+int DiskArray::add_disk(Buffer storage) {
+  const auto bytes = static_cast<std::size_t>(blocks_per_disk_) * block_bytes_;
+  if (storage.size() == 0) {
+    storage = Buffer(bytes);
+  } else if (storage.size() != bytes) {
+    throw std::invalid_argument("DiskArray::add_disk: storage is not one disk");
+  }
   auto disk = std::make_unique<Disk>();
-  disk->data = Buffer(static_cast<std::size_t>(blocks_per_disk_) *
-                      block_bytes_);
+  disk->data = std::move(storage);
   // Exclusive vs the metrics collector's shared walk: the push_back may
   // reallocate the table, which must not happen under a snapshot.
   std::unique_lock lk(geom_mu_);

@@ -31,8 +31,13 @@ class DiskArray {
   std::int64_t blocks_per_disk() const { return blocks_per_disk_; }
   std::size_t block_bytes() const { return block_bytes_; }
 
-  /// Append a zeroed disk (the "add a new disk" step of Algorithm 2).
-  int add_disk();
+  /// Append a disk (the "add a new disk" step of Algorithm 2) and
+  /// return its index. It holds `storage`, which must be exactly
+  /// blocks_per_disk() * block_bytes() bytes (else invalid_argument),
+  /// or a zeroed allocation made here when `storage` is empty. Passing
+  /// storage made in advance keeps the allocation and its fill out of
+  /// whatever quiesce the caller holds around the append.
+  int add_disk(Buffer storage = {});
 
   /// Raw access to a block's storage (no counter update, no fault
   /// injection — the setup/verification backdoor). Throws

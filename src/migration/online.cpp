@@ -77,6 +77,11 @@ OnlineMigrator::OnlineMigrator(DiskArray& array, int p)
   groups_ = array.blocks_per_disk() / (p - 1);
   rows_done_ =
       std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(groups_));
+  // Eq. 2 as one repair plan: the group's diagonal cells, each rebuilt
+  // from its own chain (no other chain holds a diagonal cell).
+  std::vector<int> diag;
+  for (int i = 0; i <= p - 2; ++i) diag.push_back(i * code_.cols() + p - 1);
+  diag_plan_ = *plan_repair(code_.cell_count(), code_.chain_specs(), diag, diag);
   // Checked knob parsing: garbage keeps the default (1 worker),
   // negative/zero clamps to 1 and oversized requests clamp to the
   // 64-worker ceiling instead of overflowing through atoi.
@@ -143,16 +148,25 @@ int OnlineMigrator::workers() const {
   return workers_requested_;
 }
 
+Buffer OnlineMigrator::new_disk_storage() const {
+  if (new_disk_ >= 0) return {};
+  return Buffer(static_cast<std::size_t>(array_.blocks_per_disk()) *
+                array_.block_bytes());
+}
+
 void OnlineMigrator::start() {
-  // Exclusive ops gate: Step 2 grows the array's disk table, which
-  // must not reallocate under concurrent app I/O indexing it. This is
-  // the only quiesce start() needs, and it lasts one push_back.
+  // Step 2's storage is allocated and zero-filled before the gate (only
+  // start() and resume() set new_disk_, and both do it this way). The
+  // exclusive ops gate then covers publishing the disk, whose append may
+  // reallocate the disk table that concurrent app I/O indexes, and
+  // launching the workers.
+  Buffer disk = new_disk_storage();
   std::unique_lock ops(ops_mu_);
   std::lock_guard lk(mu_);
   if (state_ != MigrationState::kIdle) {
     throw std::logic_error("OnlineMigrator: already started");
   }
-  if (new_disk_ < 0) new_disk_ = array_.add_disk();  // Step 2
+  if (new_disk_ < 0) new_disk_ = array_.add_disk(std::move(disk));  // Step 2
   start_group_ = 0;
   start_row_ = 0;
   groups_done_.store(0);
@@ -170,6 +184,7 @@ void OnlineMigrator::start() {
 
 void OnlineMigrator::resume() {
   finish();  // join stopped workers before restarting
+  Buffer disk = new_disk_storage();
   std::unique_lock ops(ops_mu_);  // exclude app I/O while re-verifying
   std::lock_guard lk(mu_);
   switch (state_) {
@@ -183,7 +198,7 @@ void OnlineMigrator::resume() {
     case MigrationState::kAborted:
       throw std::logic_error("resume: migration aborted: " + abort_reason_);
   }
-  if (new_disk_ < 0) new_disk_ = array_.add_disk();
+  if (new_disk_ < 0) new_disk_ = array_.add_disk(std::move(disk));
   const int p = code_.p();
   std::int64_t g = groups_done_.load();
   int rows = g < groups_ ? rows_done_[g].load() : 0;
@@ -220,6 +235,12 @@ void OnlineMigrator::resume() {
                    std::to_string(g) + " row " + std::to_string(rows) +
                    ": stale diagonal parity detected",
                g);
+  }
+  // Every row of the watermark group verified: the group is done and
+  // only the watermark record after it was lost, so enter the next one.
+  if (g < groups_ && rows == p - 1) {
+    ++g;
+    rows = 0;
   }
   start_group_ = g;
   start_row_ = g < groups_ ? rows : 0;
@@ -499,24 +520,39 @@ void OnlineMigrator::conversion_worker(int w) {
   for (;;) {
     const std::int64_t g = claim_group(w);
     if (g < 0) return;
-    const int first = g == start_group_ ? start_row_ : 0;
-    for (int i = first; i <= p - 2; ++i) {
-      {
-        std::unique_lock lk(mu_);
-        // A pending application write preempts the converter between
-        // parity blocks (Algorithm 2, "interrupt the conversion
-        // thread").
-        cv_.wait(lk, [this] {
-          return pending_writers_.load() == 0 || stop_requested_.load() ||
-                 state_ == MigrationState::kAborted;
-        });
-        if (state_ == MigrationState::kAborted || stop_requested_.load()) {
-          return;
-        }
+    {
+      std::unique_lock lk(mu_);
+      // A pending application write preempts the converter between
+      // stripe groups (Algorithm 2, "interrupt the conversion thread").
+      cv_.wait(lk, [this] {
+        return pending_writers_.load() == 0 || stop_requested_.load() ||
+               state_ == MigrationState::kAborted;
+      });
+      if (state_ == MigrationState::kAborted || stop_requested_.load()) {
+        return;
       }
-      {
-        std::shared_lock ops(ops_mu_);
-        std::lock_guard gl(group_lock(g));
+    }
+    std::shared_lock ops(ops_mu_);
+    std::lock_guard gl(group_lock(g));
+    const int first = g == start_group_ ? start_row_ : 0;
+    // The group's diagonals in one pass of the rebuild's executor:
+    // 2(p-2) source read runs, one diagonal-column write run. Rows below
+    // `first` were verified by resume() and are rewritten with the same
+    // values. A failed disk, or a source read that fails past its
+    // retries, sends the group row by row instead, reconstructing
+    // through the horizontal parity.
+    IoCounters c;
+    const bool whole =
+        array_.failed_disks() == 0 &&
+        rebuild_stripes(array_, code_, 0, diag_plan_, g, 1, retry_, &c).ok();
+    charge(c, Flow::kConversion);
+    // Rows are published and journalled one at a time, so the journal
+    // sequence is the row-by-row converter's and a stop can still land
+    // mid-group. Both happen under the group lock: a row published
+    // after releasing it could miss a write's diagonal update.
+    for (int i = first; i <= p - 2; ++i) {
+      if (i > first && stop_requested_.load()) return;
+      if (!whole) {
         const IoResult res = generate_diag(g, i);
         if (!res.ok()) {
           abort_from_io("conversion cannot generate diagonal row " +
@@ -524,10 +560,10 @@ void OnlineMigrator::conversion_worker(int w) {
                         ": " + describe(res));
           return;
         }
-        rows_done_[g].store(i + 1, std::memory_order_release);
-        if (obs::metrics_enabled()) {
-          worker_rows_[static_cast<std::size_t>(w)].inc();
-        }
+      }
+      rows_done_[g].store(i + 1, std::memory_order_release);
+      if (obs::metrics_enabled()) {
+        worker_rows_[static_cast<std::size_t>(w)].inc();
       }
       note_progress(g, i + 1);
     }

@@ -1,6 +1,13 @@
 #pragma once
 // Owning byte buffer aligned for the XOR kernels. A stripe of an array
 // code is stored as rows*cols consecutive blocks inside one Buffer.
+//
+// A buffer of at least 2 MiB (a disk of the in-memory arrays) comes from
+// its own 2 MiB-aligned anonymous mapping whose whole 2 MiB spans are
+// advised as transparent huge pages, so filling or reading it faults a
+// few huge pages instead of one 4 KiB page at a time. Smaller buffers,
+// and every buffer where the platform has no MADV_HUGEPAGE, come from
+// operator new.
 
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +16,16 @@
 
 namespace c56 {
 
+namespace detail {
+// Frees a Buffer's bytes: delete[] for heap storage, munmap of the
+// whole mapping (map, map_len) for a huge-page buffer.
+struct BufferRelease {
+  void* map = nullptr;
+  std::size_t map_len = 0;
+  void operator()(std::uint8_t* p) const noexcept;
+};
+}  // namespace detail
+
 class Buffer {
  public:
   Buffer() = default;
@@ -16,8 +33,8 @@ class Buffer {
 
   Buffer(const Buffer& other);
   Buffer& operator=(const Buffer& other);
-  Buffer(Buffer&&) noexcept = default;
-  Buffer& operator=(Buffer&&) noexcept = default;
+  Buffer(Buffer&& other) noexcept;
+  Buffer& operator=(Buffer&& other) noexcept;
 
   std::size_t size() const noexcept { return size_; }
   std::uint8_t* data() noexcept { return bytes_.get(); }
@@ -42,7 +59,10 @@ class Buffer {
   friend bool operator==(const Buffer& a, const Buffer& b) noexcept;
 
  private:
-  std::unique_ptr<std::uint8_t[]> bytes_;
+  using Storage = std::unique_ptr<std::uint8_t[], detail::BufferRelease>;
+  static Storage allocate(std::size_t size);
+
+  Storage bytes_;
   std::size_t size_ = 0;
 };
 

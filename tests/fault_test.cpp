@@ -11,6 +11,7 @@
 #include "migration/degraded.hpp"
 #include "migration/disk_array.hpp"
 #include "migration/journal.hpp"
+#include "util/rng.hpp"
 
 namespace c56::mig {
 namespace {
@@ -228,6 +229,49 @@ TEST(DegradedIo, ReadRepairedFailsOnFailedSource) {
                                    fast_retry(), nullptr);
   EXPECT_EQ(r.status, IoStatus::kDiskFailed);
   EXPECT_EQ(r.disk, 1);
+}
+
+TEST(DegradedIo, RebuildStripesCountsEachFaultedRunAsARetry) {
+  // Regenerate Code 5-6's diagonal column at p = 5 (the conversion's
+  // plan) over 16 stripes under transient sector errors. Every injected
+  // error faults either a vectored run, whose block-by-block redo is its
+  // retry, or a block attempt, which is retried; no attempt budget runs
+  // out, so retries must equal the errors surfaced.
+  const Code56 code(5);
+  const int p = code.p();
+  constexpr std::int64_t kStripes = 16;
+  std::vector<int> diag;
+  for (int r = 0; r < code.rows(); ++r) diag.push_back(r * code.cols() + p - 1);
+  const auto plan =
+      plan_repair(code.cell_count(), code.chain_specs(), diag, diag);
+  ASSERT_TRUE(plan.has_value());
+  DiskArray clean(p, kStripes * code.rows(), kBlock);
+  DiskArray faulty(p, kStripes * code.rows(), kBlock);
+  Rng rng(11);
+  for (int d = 0; d < p - 1; ++d) {
+    for (std::int64_t b = 0; b < clean.blocks_per_disk(); ++b) {
+      rng.fill(clean.raw_block(d, b).data(), kBlock);
+      std::ranges::copy(clean.raw_block(d, b), faulty.raw_block(d, b).begin());
+    }
+  }
+  FaultPlan faults;
+  faults.sector_error_rate = 0.05;
+  faults.seed = 12;
+  faulty.set_fault_plan(faults);
+  RetryPolicy retry = fast_retry();
+  retry.max_attempts = 16;
+  IoCounters c;
+  ASSERT_TRUE(
+      rebuild_stripes(faulty, code, 0, *plan, 0, kStripes, retry, &c).ok());
+  ASSERT_TRUE(
+      rebuild_stripes(clean, code, 0, *plan, 0, kStripes, retry, nullptr).ok());
+  EXPECT_GT(faulty.sector_errors(), 0u);
+  EXPECT_EQ(c.retries, faulty.sector_errors());
+  for (std::int64_t b = 0; b < clean.blocks_per_disk(); ++b) {
+    EXPECT_TRUE(std::ranges::equal(faulty.raw_block(p - 1, b),
+                                   clean.raw_block(p - 1, b)))
+        << "block " << b;
+  }
 }
 
 TEST(Journal, EncodeDecodeRoundTrip) {

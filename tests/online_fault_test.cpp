@@ -358,6 +358,49 @@ TEST(CrashResume, WatermarkGroupIsReverified) {
   EXPECT_TRUE(mig2.verify_raid6());
 }
 
+TEST(CrashResume, LostWatermarkRecordAfterLastRow) {
+  // note_progress journals (g, p-1) for the watermark group's last row,
+  // then the watermark record (g+1, 0). A crash between the two, or a
+  // torn second slot, leaves (g, p-1) as the durable record. resume()
+  // must verify group g and go on from g+1, also when g is the last
+  // group.
+  const int p = 5, m = 4;
+  const std::int64_t groups = 4;
+  DiskArray ref(m, groups * (p - 1), kBlock);
+  fill_raid5(ref, m, 35);
+  {
+    OnlineMigrator mig(ref, p);
+    mig.start();
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kDone);
+  }
+  for (const std::int64_t g : {std::int64_t{0}, groups - 1}) {
+    DiskArray array(m + 1, groups * (p - 1), kBlock);
+    for (int d = 0; d <= m; ++d) {
+      for (std::int64_t b = 0; b < array.blocks_per_disk(); ++b) {
+        std::ranges::copy(ref.raw_block(d, b), array.raw_block(d, b).begin());
+      }
+    }
+    // Diagonals past group g were never written.
+    for (std::int64_t b = (g + 1) * (p - 1); b < array.blocks_per_disk(); ++b) {
+      std::ranges::fill(array.raw_block(m, b), std::uint8_t{0});
+    }
+    MemoryCheckpointSink sink;
+    MigrationJournal(sink).record(g, p - 1);
+    OnlineMigrator mig(array, p);
+    mig.attach_journal(sink);
+    mig.resume();
+    mig.finish();
+    EXPECT_EQ(mig.state(), MigrationState::kDone) << "group " << g;
+    EXPECT_EQ(mig.groups_done(), groups) << "group " << g;
+    EXPECT_TRUE(mig.verify_raid6()) << "group " << g;
+    for (std::int64_t b = 0; b < array.blocks_per_disk(); ++b) {
+      ASSERT_TRUE(std::ranges::equal(array.raw_block(m, b), ref.raw_block(m, b)))
+          << "group " << g << " block " << b;
+    }
+  }
+}
+
 TEST(CrashResume, ResumeWithoutJournalUsesInMemoryPosition) {
   const int p = 5, m = 4;
   DiskArray array(m, 16LL * (p - 1), kBlock);

@@ -1,16 +1,18 @@
 // Integration tests for Algorithm 2: online RAID-5 -> RAID-6 migration
 // over the in-memory disk array, with and without a concurrent
 // application workload, followed by failure-recovery checks on the
-// migrated array.
+// migrated array, and the conversion's I/O per stripe group.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "layout/raid.hpp"
 #include "migration/disk_array.hpp"
+#include "migration/journal.hpp"
 #include "migration/online.hpp"
 #include "util/rng.hpp"
 #include "xorblk/xor.hpp"
@@ -104,6 +106,116 @@ TEST(OnlineMigrator, QuiescentMigrationProducesValidRaid6) {
     // Only the added disk was written.
     for (int d = 0; d < m; ++d) EXPECT_EQ(array.writes(d), 0u) << d;
     EXPECT_EQ(array.writes(m), st.conv_writes);
+  }
+}
+
+// Conversion I/O of one stripe group entered at diagonal row `from_row`
+// (0 for a fresh start, r > 0 for a resume into the group's row r). A
+// group is read as source-column runs, each split at most once by the
+// column's horizontal-parity cell, and its diagonal rows are written as
+// one run. Per data block of a group: reads 1, writes 1/(p-2), read runs
+// 2/(p-1), write runs 1/((p-1)(p-2)). A resumed group is converted
+// whole, rewriting the rows resume() verified; one whose p-1 rows all
+// verified is done and costs nothing. `parent` is the row-by-row
+// converter's cost of the same group: one run per block, rows r..p-2.
+struct ConvIo {
+  std::uint64_t reads, read_runs, writes, write_runs;
+  bool operator==(const ConvIo&) const = default;
+};
+
+struct ConvPin {
+  int p;
+  int from_row;
+  ConvIo group;
+  ConvIo parent;
+};
+
+constexpr ConvPin kConvPins[] = {
+    {5, 0, {12, 6, 4, 1}, {12, 12, 4, 4}},
+    {5, 1, {12, 6, 4, 1}, {9, 9, 3, 3}},
+    {5, 3, {12, 6, 4, 1}, {3, 3, 1, 1}},
+    {5, 4, {0, 0, 0, 0}, {0, 0, 0, 0}},
+    {7, 0, {30, 10, 6, 1}, {30, 30, 6, 6}},
+    {7, 1, {30, 10, 6, 1}, {25, 25, 5, 5}},
+    {7, 5, {30, 10, 6, 1}, {5, 5, 1, 1}},
+    {7, 6, {0, 0, 0, 0}, {0, 0, 0, 0}},
+    {11, 0, {90, 18, 10, 1}, {90, 90, 10, 10}},
+    {11, 1, {90, 18, 10, 1}, {81, 81, 9, 9}},
+    {11, 9, {90, 18, 10, 1}, {9, 9, 1, 1}},
+    {11, 10, {0, 0, 0, 0}, {0, 0, 0, 0}},
+};
+
+ConvIo pin_of(int p, int from_row) {
+  for (const ConvPin& x : kConvPins) {
+    if (x.p == p && x.from_row == from_row) return x.group;
+  }
+  ADD_FAILURE() << "no pin for p=" << p << " from_row=" << from_row;
+  return {};
+}
+
+TEST(ConversionIoPins, EveryGroupFreshAndResumed) {
+  constexpr std::int64_t kGroups = 3;
+  for (const ConvPin& pin : kConvPins) {
+    const int p = pin.p, m = p - 1, r = pin.from_row;
+    SCOPED_TRACE("p=" + std::to_string(p) + " from_row=" + std::to_string(r));
+    const ConvIo full = pin_of(p, 0);
+    const std::uint64_t data = static_cast<std::uint64_t>((p - 1) * (p - 2));
+    // The literal table against the closed forms, and against the parent.
+    EXPECT_EQ(full.reads, data);
+    EXPECT_EQ(full.writes * static_cast<std::uint64_t>(p - 2), data);
+    EXPECT_EQ(full.read_runs * static_cast<std::uint64_t>(p - 1), 2 * data);
+    EXPECT_EQ(full.write_runs * data, data);
+    EXPECT_EQ(pin.group, r < p - 1 ? full : ConvIo{});
+    const auto rows_left = static_cast<std::uint64_t>(p - 1 - r);
+    EXPECT_EQ(pin.parent.reads, rows_left * static_cast<std::uint64_t>(p - 2));
+    EXPECT_EQ(pin.parent.writes, rows_left);
+    EXPECT_EQ(pin.parent.read_runs, pin.parent.reads);
+    EXPECT_EQ(pin.parent.write_runs, pin.parent.writes);
+
+    DiskArray array(m, kGroups * (p - 1), kBlock);
+    fill_raid5(array, m, 40 + static_cast<std::uint64_t>(p));
+    MemoryCheckpointSink sink;
+    if (r > 0) {
+      // A migration interrupted after row r-1 of group 0: those rows
+      // hold their diagonals and the journal says so; every other
+      // diagonal block is zero and must be generated. At r = p-1 the
+      // record after it, (1, 0), was lost.
+      {
+        OnlineMigrator first(array, p);
+        first.start();
+        first.finish();
+      }
+      for (std::int64_t b = r; b < array.blocks_per_disk(); ++b) {
+        std::ranges::fill(array.raw_block(m, b), std::uint8_t{0});
+      }
+      MigrationJournal(sink).record(0, r);
+    }
+    OnlineMigrator mig(array, p);
+    mig.attach_journal(sink);
+    const std::uint64_t r0 = array.total_reads(), rr0 = array.total_read_runs();
+    const std::uint64_t w0 = array.total_writes(),
+                        wr0 = array.total_write_runs();
+    if (r == 0) {
+      mig.start();
+    } else {
+      mig.resume();
+    }
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kDone);
+    EXPECT_TRUE(mig.verify_raid6());
+    // resume() first re-reads the journalled rows' chains block by block.
+    const auto verify = static_cast<std::uint64_t>(r * (p - 2));
+    const ConvIo got{array.total_reads() - r0 - verify,
+                     array.total_read_runs() - rr0 - verify,
+                     array.total_writes() - w0,
+                     array.total_write_runs() - wr0};
+    const std::uint64_t rest = kGroups - 1;
+    EXPECT_EQ(got.reads, pin.group.reads + rest * full.reads);
+    EXPECT_EQ(got.read_runs, pin.group.read_runs + rest * full.read_runs);
+    EXPECT_EQ(got.writes, pin.group.writes + rest * full.writes);
+    EXPECT_EQ(got.write_runs, pin.group.write_runs + rest * full.write_runs);
+    EXPECT_EQ(mig.stats().conv_reads, got.reads + verify);
+    EXPECT_EQ(mig.stats().conv_writes, got.writes);
   }
 }
 

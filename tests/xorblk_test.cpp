@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 #include "util/rng.hpp"
 #include "xorblk/buffer.hpp"
@@ -99,6 +106,62 @@ TEST(Buffer, MoveLeavesSourceReusable) {
   EXPECT_EQ(b.size(), 8u);
   EXPECT_EQ(b.data()[3], 0x5A);
 }
+
+// Buffers of at least 2 MiB come from a huge-page mapping, smaller ones
+// from operator new; both must behave the same.
+TEST(Buffer, LargeAndSmallFillCopyCompareAndMove) {
+  constexpr std::size_t kHuge = std::size_t{2} << 20;
+  for (std::size_t n : {kHuge - 1, kHuge, 3 * kHuge + 4099}) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    Buffer zero(n);
+    EXPECT_EQ(zero.size(), n);
+    EXPECT_TRUE(all_zero(zero.span()));
+    Buffer a(n, 0xA5);
+    EXPECT_EQ(a.data()[0], 0xA5);
+    EXPECT_EQ(a.data()[n - 1], 0xA5);
+    Rng(n).fill(a.data(), n);
+    Buffer b = a;
+    EXPECT_NE(b.data(), a.data());
+    EXPECT_TRUE(a == b);
+    b.data()[n - 1] ^= 1;
+    EXPECT_FALSE(a == b);
+    b = a;
+    EXPECT_TRUE(a == b);
+    const std::uint8_t* bytes = a.data();
+    Buffer moved = std::move(a);
+    EXPECT_EQ(moved.data(), bytes);
+    EXPECT_EQ(moved.size(), n);
+    EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(moved == b);
+    a = std::move(moved);
+    EXPECT_TRUE(a == b);
+#ifdef MADV_HUGEPAGE
+    if (n >= kHuge) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % kHuge, 0u);
+    }
+#endif
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define C56_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define C56_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef C56_TEST_ASAN
+TEST(BufferDeathTest, OverflowPastLargeBufferIsReported) {
+  EXPECT_DEATH(
+      {
+        Buffer b(std::size_t{2} << 20);
+        volatile std::uint8_t* bytes = b.data();
+        bytes[b.size()] = 1;
+      },
+      "AddressSanitizer");
+}
+#endif
 
 TEST(BufferPool, TrimDropsLargestSizesFirst) {
   BufferPool& pool = BufferPool::local();
