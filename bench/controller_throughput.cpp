@@ -296,7 +296,7 @@ OverheadReport measure_metrics_overhead(std::int64_t stripes, int groups,
   r.ratio = ratios[ratios.size() / 2];
 
   // One enabled pass so the embedded snapshot is non-trivial (the
-  // events_emitted counter picks up the rate-limited ranged-write
+  // events_emitted counter picks up the rate-limited batched-write
   // debug events).
   detach();
   attach();

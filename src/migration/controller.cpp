@@ -281,38 +281,12 @@ void ArrayController::write(std::int64_t logical, std::int64_t count,
   if (in.size() != static_cast<std::size_t>(count) * bs) {
     throw std::invalid_argument("ArrayController::write: bad buffer size");
   }
-  if (count == 0) return;  // validated no-op, planner never invoked
-  const bool obs_on = obs::metrics_enabled();
-  std::chrono::steady_clock::time_point t0;
-  if (obs_on) t0 = std::chrono::steady_clock::now();
-  // Priced by the perf-smoke overhead gate: with a log attached but
-  // events disabled this is the layer's whole hot-path cost.
-  if (events_ && obs::events_enabled()) {
-    emit_event(obs::EventLevel::kDebug,
-               "ranged write: " + std::to_string(count) +
-                   " blocks at logical " + std::to_string(logical),
-               -1, "ranged_write");
+  std::vector<SubWrite> batch(static_cast<std::size_t>(count));
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    batch[k] = {logical + static_cast<std::int64_t>(k), 0,
+                in.subspan(k * bs, bs)};
   }
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
-  std::vector<SubWrite> ops;
-  ops.reserve(static_cast<std::size_t>(std::min(per, count)));
-  std::int64_t done = 0;
-  while (done < count) {
-    const std::int64_t l = logical + done;
-    const std::int64_t n = std::min(per - l % per, count - done);
-    ops.clear();
-    for (std::int64_t k = 0; k < n; ++k) {
-      ops.push_back(
-          {l + k, 0, in.subspan(static_cast<std::size_t>(done + k) * bs, bs)});
-    }
-    std::lock_guard sl(stripe_lock(l / per));
-    write_stripe(l / per, ops);
-    done += n;
-  }
-  if (obs_on) {
-    ranged_writes_.inc();
-    write_latency_us_.observe(elapsed_us(t0));
-  }
+  write_range(batch);
 }
 
 void ArrayController::read_run(std::int64_t stripe, int i0, int n,
@@ -708,10 +682,12 @@ void ArrayController::write_range(std::span<const SubWrite> batch) {
   const bool obs_on = obs::metrics_enabled();
   std::chrono::steady_clock::time_point t0;
   if (obs_on) t0 = std::chrono::steady_clock::now();
+  // Priced by the perf-smoke overhead gate: with a log attached but
+  // events disabled this is the layer's whole hot-path cost.
   if (events_ && obs::events_enabled()) {
     emit_event(obs::EventLevel::kDebug,
-               "subblock write: " + std::to_string(ops.size()) + " ops",
-               -1, "subblock_write");
+               "batched write: " + std::to_string(ops.size()) + " entries",
+               -1, "batched_write");
   }
   std::stable_sort(ops.begin(), ops.end(),
                    [per](const SubWrite& a, const SubWrite& b) {

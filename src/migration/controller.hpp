@@ -14,11 +14,14 @@
 // columns, which have no physical disk); logical data blocks enumerate
 // the code's data cells stripe by stripe in row-major order.
 //
-// Every write — write(l, in), write(l, count, in), write_range(l, off,
-// in) and the batched write_range — is one call per stripe to a single
-// planner, write_stripe, under the stripe lock. It applies Table III's
-// rule (one read-modify-write per parity a block feeds) with every
-// saving the batch allows:
+// Every multi-entry write goes through the batched write_range: it
+// validates the entries, stable-sorts them by stripe, and makes one call
+// per stripe, under the stripe lock, to a single planner, write_stripe.
+// write(l, count, in) is one whole-block entry per block and
+// write_range(l, off, in) one entry; write(l, in) calls write_stripe
+// directly. The service hands it every write of a drained slice at once.
+// The planner applies Table III's rule (one read-modify-write per parity
+// a block feeds) with every saving the batch allows:
 //   * Ranges. Every code in the zoo XORs parity bytewise, so a byte at
 //     offset o feeds its parities at offset o only. A touched cell moves
 //     the hull of its entries' ranges (entries apply in batch order,

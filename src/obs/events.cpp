@@ -80,10 +80,7 @@ std::string to_json(const Event& ev) {
   return out.str();
 }
 
-EventLog::EventLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+EventLog::EventLog(std::size_t capacity) : ring_(capacity) {}
 
 EventLog::~EventLog() {
   detach_metrics();
@@ -137,14 +134,7 @@ void EventLog::record_locked(Event& ev) {
     std::fprintf(sink_, "%s\n", line.c_str());
     std::fflush(sink_);
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(ev));
-  } else {
-    ring_[next_] = std::move(ev);
-    overwritten_.inc();
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
+  if (ring_.push(std::move(ev))) overwritten_.inc();
   emitted_.inc();
 }
 
@@ -171,16 +161,7 @@ bool EventLog::set_jsonl_path(const std::string& path) {
 
 std::vector<Event> EventLog::snapshot() const {
   std::lock_guard lk(mu_);
-  std::vector<Event> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
-  return out;
+  return ring_.snapshot();
 }
 
 std::vector<Event> EventLog::tail(std::size_t n) const {
@@ -196,8 +177,6 @@ std::uint64_t EventLog::overwritten() const { return overwritten_.value(); }
 void EventLog::clear() {
   std::lock_guard lk(mu_);
   ring_.clear();
-  next_ = 0;
-  total_ = 0;
   rate_counts_.clear();
   emitted_.reset();
   dropped_.reset();

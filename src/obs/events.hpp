@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 namespace c56::obs {
 
@@ -115,7 +116,7 @@ class EventLog {
   std::uint64_t emitted() const;      // recorded into the ring
   std::uint64_t dropped() const;      // suppressed by the rate limiter
   std::uint64_t overwritten() const;  // evicted by ring wrap
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// Drops ring contents, counters, and rate-limiter state (tests).
   void clear();
@@ -129,10 +130,7 @@ class EventLog {
   void record_locked(Event& ev);
 
   mutable std::mutex mu_;
-  const std::size_t capacity_;
-  std::vector<Event> ring_;
-  std::size_t next_ = 0;     // ring write cursor
-  std::uint64_t total_ = 0;  // events ever recorded
+  Ring<Event> ring_;
   std::uint64_t rate_limit_ = kDefaultRateLimit;
   std::unordered_map<std::string, std::uint64_t> rate_counts_;
   std::uint64_t next_seq_ = 1;

@@ -57,7 +57,6 @@ MetricsSampler::MetricsSampler(Registry& reg) : reg_(reg) {
           util::env_int("C56_SAMPLE_MS", kMinIntervalMs, kMaxIntervalMs)) {
     interval_ms_ = *v;
   }
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
 
 MetricsSampler::~MetricsSampler() {
@@ -75,15 +74,7 @@ void MetricsSampler::set_interval_ms(std::int64_t ms) {
 void MetricsSampler::set_capacity(std::size_t n) {
   std::lock_guard lk(mu_);
   if (thread_active_ || n == 0) return;
-  capacity_ = n;
-  if (ring_.size() > capacity_) {
-    // Keep the newest samples, restore oldest-first ring order.
-    std::rotate(ring_.begin(), ring_.begin() + static_cast<long>(next_),
-                ring_.end());
-    ring_.erase(ring_.begin(),
-                ring_.end() - static_cast<long>(capacity_));
-    next_ = 0;
-  }
+  ring_.set_capacity(n);
 }
 
 bool MetricsSampler::set_jsonl_path(const std::string& path) {
@@ -182,13 +173,7 @@ void MetricsSampler::tick() {
       ++sink_rotations_;
     }
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(s));
-  } else {
-    ring_[next_] = std::move(s);
-    ++overwritten_;
-  }
-  next_ = (next_ + 1) % capacity_;
+  ring_.push(std::move(s));
   ++ticks_;
 }
 
@@ -199,16 +184,7 @@ std::int64_t MetricsSampler::interval_ms() const {
 
 std::vector<MetricsSample> MetricsSampler::samples() const {
   std::lock_guard lk(mu_);
-  std::vector<MetricsSample> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
-  return out;
+  return ring_.snapshot();
 }
 
 std::uint64_t MetricsSampler::ticks() const {
@@ -218,7 +194,7 @@ std::uint64_t MetricsSampler::ticks() const {
 
 std::uint64_t MetricsSampler::overwritten() const {
   std::lock_guard lk(mu_);
-  return overwritten_;
+  return ring_.overwritten();
 }
 
 std::uint64_t MetricsSampler::jsonl_rotations() const {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 namespace c56::obs {
 
@@ -93,11 +94,8 @@ class MetricsSampler {
   bool thread_active_ = false;  // a thread_ exists and must be joined
   bool stop_requested_ = false;
   std::int64_t interval_ms_ = kDefaultIntervalMs;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::vector<MetricsSample> ring_;
-  std::size_t next_ = 0;
+  Ring<MetricsSample> ring_{kDefaultCapacity};
   std::uint64_t ticks_ = 0;
-  std::uint64_t overwritten_ = 0;
   std::vector<std::function<void()>> probes_;
   std::FILE* sink_ = nullptr;
   std::string sink_path_;

@@ -28,10 +28,7 @@ std::uint64_t this_tid() {
 
 }  // namespace
 
-TraceRecorder::TraceRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+TraceRecorder::TraceRecorder(std::size_t capacity) : ring_(capacity) {}
 
 TraceRecorder& TraceRecorder::global() {
   static TraceRecorder* rec = [] {
@@ -45,40 +42,22 @@ TraceRecorder& TraceRecorder::global() {
 
 void TraceRecorder::record(TraceSpan span) {
   std::lock_guard lk(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
-  } else {
-    ring_[next_] = std::move(span);
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
+  ring_.push(std::move(span));
 }
 
 std::vector<TraceSpan> TraceRecorder::snapshot() const {
   std::lock_guard lk(mu_);
-  std::vector<TraceSpan> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // Ring is full: the slot at next_ is the oldest span.
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
-  return out;
+  return ring_.snapshot();
 }
 
 std::uint64_t TraceRecorder::dropped() const {
   std::lock_guard lk(mu_);
-  return total_ > capacity_ ? total_ - capacity_ : 0;
+  return ring_.overwritten();
 }
 
 void TraceRecorder::clear() {
   std::lock_guard lk(mu_);
   ring_.clear();
-  next_ = 0;
-  total_ = 0;
 }
 
 std::string TraceRecorder::to_json() const {

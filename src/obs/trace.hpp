@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/ring.hpp"
+
 namespace c56::obs {
 
 namespace detail {
@@ -70,7 +72,7 @@ class TraceRecorder {
   /// Spans overwritten because the ring was full.
   std::uint64_t dropped() const;
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// Drops everything recorded so far; also resets dropped().
   void clear();
@@ -80,10 +82,7 @@ class TraceRecorder {
 
  private:
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::vector<TraceSpan> ring_;
-  std::size_t next_ = 0;      // ring write cursor
-  std::uint64_t total_ = 0;   // spans ever recorded
+  Ring<TraceSpan> ring_;
 };
 
 /// Records a span covering its own lifetime when tracing is enabled at

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -31,24 +30,6 @@ int physical_disks(const ErasureCode& code) {
     ++virt;
   }
   return code.cols() - virt;
-}
-
-bool is_write(const QueuedOp& op) {
-  return op.req.kind == OpKind::kWrite || op.req.kind == OpKind::kWriteRange;
-}
-
-/// True when [lo, hi) intersects any interval in `m` (start -> end).
-bool intersects(const std::map<std::int64_t, std::int64_t>& m,
-                std::int64_t lo, std::int64_t hi) {
-  auto it = m.upper_bound(lo);  // first interval starting after lo
-  if (it != m.begin() && std::prev(it)->second > lo) return true;
-  return it != m.end() && it->first < hi;
-}
-
-void cover(std::map<std::int64_t, std::int64_t>& m, std::int64_t lo,
-           std::int64_t hi) {
-  auto [it, inserted] = m.try_emplace(lo, hi);
-  if (!inserted) it->second = std::max(it->second, hi);
 }
 
 }  // namespace
@@ -128,115 +109,42 @@ void Volume::execute(std::span<QueuedOp> ops) {
 }
 
 void Volume::execute_controller(std::span<QueuedOp> ops) {
+  // Every write of the slice reaches the planner in one batched call,
+  // in submission order: write_range applies a stripe's entries in
+  // batch order (a later write to the same bytes wins), so each parity
+  // a stripe's writes feed is updated once per slice.
+  const std::size_t bs = block_bytes();
+  std::vector<mig::ArrayController::SubWrite> subs;
   std::vector<QueuedOp*> writes;
   std::vector<QueuedOp*> reads;
+  subs.reserve(ops.size());
   writes.reserve(ops.size());
   for (QueuedOp& op : ops) {
-    (is_write(op) ? writes : reads).push_back(&op);
-  }
-
-  // Overlap-generation split (header comment): coalescing sorts by
-  // address, so two same-block writes must never share a generation —
-  // except sub-block/sub-block pairs, which the batched write_range
-  // already applies in batch (= submission) order.
-  std::map<std::int64_t, std::int64_t> any;    // every write interval
-  std::map<std::int64_t, std::int64_t> whole;  // whole-block intervals
-  std::vector<QueuedOp*> gen;
-  gen.reserve(writes.size());
-  for (QueuedOp* op : writes) {
-    const bool whole_block = op->req.kind == OpKind::kWrite;
-    const std::int64_t lo = op->req.logical;
-    const std::int64_t hi = lo + (whole_block ? op->req.count : 1);
-    if (whole_block ? intersects(any, lo, hi) : intersects(whole, lo, hi)) {
-      run_write_generation(gen);
-      gen.clear();
-      any.clear();
-      whole.clear();
-    }
-    gen.push_back(op);
-    cover(any, lo, hi);
-    if (whole_block) cover(whole, lo, hi);
-  }
-  run_write_generation(gen);
-  run_reads(reads);
-}
-
-void Volume::run_write_generation(std::span<QueuedOp*> gen) {
-  if (gen.empty()) return;
-  // Stable: same-block sub-writes keep submission order.
-  std::stable_sort(gen.begin(), gen.end(),
-                   [](const QueuedOp* a, const QueuedOp* b) {
-                     return a->req.logical < b->req.logical;
-                   });
-
-  // Scattered singles and sub-block writes pool into one batched
-  // write_range: the controller coalesces their parity RMWs per
-  // stripe, so even non-adjacent blocks amortize under load.
-  std::vector<mig::ArrayController::SubWrite> subs;
-  std::vector<QueuedOp*> sub_ops;
-  const auto flush_subs = [&] {
-    if (subs.empty()) return;
-    Status st = Status::kOk;
-    try {
-      ctrl_->write_range(std::span<const mig::ArrayController::SubWrite>(
-          subs.data(), subs.size()));
-    } catch (const std::exception&) {
-      st = Status::kIoError;
-    }
-    for (QueuedOp* o : sub_ops) o->result = st;
-    subs.clear();
-    sub_ops.clear();
-  };
-
-  const std::size_t bs = block_bytes();
-  std::size_t i = 0;
-  while (i < gen.size()) {
-    QueuedOp* op = gen[i];
-    if (op->req.kind == OpKind::kWriteRange) {
-      subs.push_back({op->req.logical, op->req.offset, op->req.in});
-      sub_ops.push_back(op);
-      ++i;
-      continue;
-    }
-    // Whole-block write: absorb ops covering consecutive blocks into
-    // one ranged planner call.
-    std::size_t j = i;
-    std::int64_t end = op->req.logical + op->req.count;
-    std::int64_t total = op->req.count;
-    while (j + 1 < gen.size() && gen[j + 1]->req.kind == OpKind::kWrite &&
-           gen[j + 1]->req.logical == end) {
-      ++j;
-      end += gen[j]->req.count;
-      total += gen[j]->req.count;
-    }
-    if (j == i && total == 1) {
-      subs.push_back({op->req.logical, 0, op->req.in});
-      sub_ops.push_back(op);
-      ++i;
-      continue;
-    }
-    Status st = Status::kOk;
-    try {
-      if (j == i) {
-        ctrl_->write(op->req.logical, total, op->req.in);
-      } else {
-        PooledBuffer staging(static_cast<std::size_t>(total) * bs);
-        std::size_t off = 0;
-        for (std::size_t k = i; k <= j; ++k) {
-          const auto& in = gen[k]->req.in;
-          std::memcpy(staging.data() + off, in.data(), in.size());
-          off += in.size();
-        }
-        ctrl_->write(op->req.logical, total, staging.span());
-        coalesced_runs_.inc();
+    const Request& r = op.req;
+    if (r.kind == OpKind::kWrite) {
+      for (std::int64_t b = 0; b < r.count; ++b) {
+        const auto off = static_cast<std::size_t>(b) * bs;
+        subs.push_back({r.logical + b, 0, r.in.subspan(off, bs)});
       }
+    } else if (r.kind == OpKind::kWriteRange) {
+      subs.push_back({r.logical, r.offset, r.in});
+    } else {
+      reads.push_back(&op);
+      continue;
+    }
+    writes.push_back(&op);
+  }
+  if (!writes.empty()) {
+    // One call, one outcome: the slice's writes share its status.
+    Status st = Status::kOk;
+    try {
+      ctrl_->write_range(subs);
     } catch (const std::exception&) {
       st = Status::kIoError;
     }
-    for (std::size_t k = i; k <= j; ++k) gen[k]->result = st;
-    i = j + 1;
+    for (QueuedOp* op : writes) op->result = st;
   }
-  flush_subs();
+  run_reads(reads);
 }
 
 void Volume::run_reads(std::span<QueuedOp*> reads) {

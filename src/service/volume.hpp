@@ -8,19 +8,18 @@
 //
 // execute() is the batch executor behind the shard event loop's
 // queue-depth-aware batching. It receives one drained slice of this
-// volume's operations — already in per-tenant FIFO order — and feeds
-// them to the cheapest controller path available:
-//  * whole-block writes covering consecutive blocks are gathered into
-//    one ranged write(l, count) (the PR 3 planner: full-stripe writes
-//    cost zero pre-reads, partial stripes coalesce parity deltas);
-//  * scattered single-block writes and sub-block writes share one
-//    batched write_range() (the PR 7 plane: each parity block pays at
-//    most one read-modify-write per stripe per batch);
-//  * adjacent reads merge into one ranged read and scatter back out.
-// Coalescing sorts by address, so the batch is first split into
-// "generations" at write-overlap points: within a generation all
-// whole-block writes are disjoint, which keeps same-block writes
-// applying in submission order (the SQ/CQ ordering contract).
+// volume's operations — already in per-tenant FIFO order:
+//  * every write of the slice goes to the controller in one batched
+//    write_range(), in submission order: one SubWrite per whole block
+//    (a span of the request's own buffer) or per sub-block range. The
+//    controller's planner does all the combining — full stripes cost
+//    one encode, each parity a stripe's writes feed is updated once,
+//    consecutive rows go out as vectored runs — and applies a stripe's
+//    entries in batch order, so same-block writes land in submission
+//    order (the SQ/CQ ordering contract). The slice's writes share one
+//    status: kIoError for all of them if the call throws;
+//  * adjacent reads then merge into one ranged read and scatter back
+//    out.
 
 #include <cstdint>
 #include <chrono>
@@ -113,7 +112,9 @@ class Volume {
   std::uint64_t ops_completed() const noexcept { return ops_.value(); }
   std::uint64_t blocks_io() const noexcept { return blocks_.value(); }
   std::uint64_t io_errors() const noexcept { return errors_.value(); }
-  /// Multi-op runs merged into one ranged controller call.
+  /// Multi-op read runs merged into one ranged controller read. Writes
+  /// are not counted: every write of a slice goes to the controller in
+  /// one call, which fuses them itself.
   std::uint64_t coalesced_runs() const noexcept {
     return coalesced_runs_.value();
   }
@@ -126,9 +127,6 @@ class Volume {
  private:
   void execute_controller(std::span<QueuedOp> ops);
   void execute_migrator(std::span<QueuedOp> ops);
-  // One overlap-free generation of whole-block/sub-block writes,
-  // sorted + coalesced here.
-  void run_write_generation(std::span<QueuedOp*> gen);
   void run_reads(std::span<QueuedOp*> reads);
 
   VolumeId id_;

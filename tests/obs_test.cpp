@@ -17,6 +17,8 @@
 #include "migration/journal.hpp"
 #include "migration/online.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
+#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "xorblk/xor.hpp"
@@ -361,6 +363,75 @@ TEST(Exporters, JsonAndPrometheusRenderIdenticalValues) {
   EXPECT_NE(prom.find("\nplain_counter_total 4\n"), std::string::npos);
   EXPECT_NE(json.find("\"eta_ms\": 1234"), std::string::npos);
   EXPECT_NE(prom.find("\neta_ms 1234\n"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Bounded ring
+// ---------------------------------------------------------------------
+
+TEST(Ring, PushOverwritesOldestAndSnapshotsOldestFirst) {
+  obs::Ring<int> ring(3);
+  EXPECT_EQ(ring.capacity(), 3u);
+  EXPECT_FALSE(ring.push(0));
+  EXPECT_FALSE(ring.push(1));
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{0, 1}));
+  EXPECT_FALSE(ring.push(2));
+  EXPECT_TRUE(ring.push(3));
+  EXPECT_TRUE(ring.push(4));
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(ring.overwritten(), 2u);
+  ring.clear();
+  EXPECT_TRUE(ring.snapshot().empty());
+  EXPECT_EQ(ring.overwritten(), 0u);
+  EXPECT_FALSE(ring.push(5));
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{5}));
+  EXPECT_EQ(obs::Ring<int>(0).capacity(), 1u);
+}
+
+TEST(Ring, SetCapacityKeepsTheNewest) {
+  obs::Ring<int> ring(4);
+  for (int i = 0; i < 7; ++i) ring.push(i);  // wrapped: 3 4 5 6
+  ring.set_capacity(2);
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{5, 6}));
+  EXPECT_EQ(ring.overwritten(), 3u);
+  ring.push(7);
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{6, 7}));
+  // Growing a wrapped ring keeps oldest-first order for later pushes.
+  ring.set_capacity(4);
+  ring.push(8);
+  EXPECT_EQ(ring.snapshot(), (std::vector<int>{6, 7, 8}));
+  EXPECT_EQ(ring.overwritten(), 4u);
+}
+
+TEST(Sampler, SetCapacityKeepsNewestSamplesInOrder) {
+  obs::Registry reg;
+  obs::Counter& tick = reg.counter("tick");
+  obs::MetricsSampler sampler(reg);
+  const auto ticks_seen = [&sampler] {
+    std::vector<std::uint64_t> out;
+    for (const obs::MetricsSample& s : sampler.samples()) {
+      out.push_back(s.snap.find("tick")->counter);
+    }
+    return out;
+  };
+  const auto sample = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      tick.inc();
+      sampler.sample_once();
+    }
+  };
+  sampler.set_capacity(3);
+  sample(5);
+  EXPECT_EQ(ticks_seen(), (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(sampler.overwritten(), 2u);
+  sampler.set_capacity(2);
+  EXPECT_EQ(ticks_seen(), (std::vector<std::uint64_t>{4, 5}));
+  sample(1);  // wraps the shrunk ring
+  sampler.set_capacity(4);
+  sample(1);
+  EXPECT_EQ(ticks_seen(), (std::vector<std::uint64_t>{5, 6, 7}));
+  EXPECT_EQ(sampler.overwritten(), 3u);
+  EXPECT_EQ(sampler.ticks(), 7u);
 }
 
 // ---------------------------------------------------------------------

@@ -239,6 +239,174 @@ TEST(Service, DeepBatchesCoalesceWrites) {
       << "deep batches should at least halve device runs";
 }
 
+// Every write of a drained slice reaches the controller's planner in one
+// call: whole-block writes to logical 0 and 1 and a sub-block write to
+// logical 2 all feed row 0's horizontal parity, which is then read and
+// written once for the slice — exactly what one batched write_range of
+// the same three entries costs on a bare controller.
+TEST(Service, SharedParityUpdatedOncePerBatch) {
+  const std::size_t bs = 1024;
+  svc::VolumeManager mgr(manual_config(1, 4096));
+  const svc::Volume::Config vc = small_volume(bs, 4);
+  const svc::VolumeId id = mgr.create_volume(vc);
+  svc::Volume* vol = mgr.volume(id);
+  mig::DiskArray twin_array(vol->array().disks(),
+                            vol->array().blocks_per_disk(), bs);
+  mig::ArrayController twin(twin_array, make_code(vc.code, vc.p));
+
+  const auto b0 = pattern(bs, 0x7001);
+  const auto b1 = pattern(bs, 0x7002);
+  const auto sub = pattern(64, 0x7003);
+  std::vector<Status> statuses;
+  auto submit = [&](OpKind kind, std::int64_t l, std::int64_t off,
+                    const std::vector<std::uint8_t>& in) {
+    Request r;
+    r.kind = kind;
+    r.volume = id;
+    r.logical = l;
+    r.offset = off;
+    r.in = {in.data(), in.size()};
+    r.on_complete = [&statuses](const svc::Completion& c) {
+      statuses.push_back(c.status);
+    };
+    ASSERT_EQ(mgr.submit(r), Status::kOk);
+  };
+  submit(OpKind::kWrite, 0, 0, b0);
+  submit(OpKind::kWrite, 1, 0, b1);
+  submit(OpKind::kWriteRange, 2, 100, sub);
+  const std::uint64_t r0 = vol->array().total_reads();
+  const std::uint64_t w0 = vol->array().total_writes();
+  mgr.drain();
+  EXPECT_EQ(statuses, std::vector<Status>(3, Status::kOk));
+
+  const std::vector<mig::ArrayController::SubWrite> batch = {
+      {0, 0, b0}, {1, 0, b1}, {2, 100, sub}};
+  twin.write_range(batch);
+  EXPECT_EQ(vol->array().total_reads() - r0, twin_array.total_reads());
+  EXPECT_EQ(vol->array().total_writes() - w0, twin_array.total_writes());
+  // The three blocks and the four parities they feed (row 0's and three
+  // diagonals), each read once and written once.
+  EXPECT_EQ(twin_array.total_reads(), 7u);
+  EXPECT_EQ(twin_array.total_writes(), 7u);
+
+  std::vector<std::vector<std::uint8_t>> mirror(
+      static_cast<std::size_t>(vol->logical_blocks()),
+      std::vector<std::uint8_t>(bs, 0));
+  mirror[0] = b0;
+  mirror[1] = b1;
+  std::memcpy(mirror[2].data() + 100, sub.data(), sub.size());
+  std::vector<std::uint8_t> got(bs);
+  for (std::int64_t l = 0; l < vol->logical_blocks(); ++l) {
+    vol->controller()->read(l, {got.data(), bs});
+    EXPECT_EQ(got, mirror[static_cast<std::size_t>(l)]) << "block " << l;
+  }
+  EXPECT_TRUE(vol->controller()->scrub().empty());
+}
+
+// A slice whose batched write fails: a latent sector error under row 0's
+// horizontal parity fails the pre-read a sub-block write there needs, so
+// every write of the slice completes kIoError (they share one planner
+// call) while a read in the same slice keeps its own status. Nothing
+// acknowledged earlier is lost: once the fault is cleared every block
+// reads back as the kOk writes left it.
+TEST(Service, FaultedSliceFailsItsWritesOnly) {
+  const std::size_t bs = 1024;
+  svc::VolumeManager mgr(manual_config(1, 4096));
+  const svc::VolumeId id = mgr.create_volume(small_volume(bs, 4));
+  svc::Volume* vol = mgr.volume(id);
+  const std::int64_t lb = vol->logical_blocks();
+  const std::int64_t per_stripe = lb / 4;
+
+  std::vector<std::vector<std::uint8_t>> mirror(
+      static_cast<std::size_t>(lb), std::vector<std::uint8_t>(bs, 0));
+  std::deque<std::vector<std::uint8_t>> payloads;  // stable addresses
+  std::map<std::int64_t, Status> status;           // by submission index
+  std::int64_t submitted = 0;
+  auto submit = [&](Request r) {
+    const std::int64_t idx = submitted++;
+    r.volume = id;
+    r.on_complete = [&status, idx](const svc::Completion& c) {
+      status[idx] = c.status;
+    };
+    EXPECT_EQ(mgr.submit(r), Status::kOk);
+    return idx;
+  };
+  auto write = [&](std::int64_t l, std::int64_t off, std::size_t len,
+                   std::uint64_t seed) {
+    payloads.push_back(pattern(len, seed));
+    Request r;
+    r.kind = len == bs ? OpKind::kWrite : OpKind::kWriteRange;
+    r.logical = l;
+    r.offset = off;
+    r.in = {payloads.back().data(), len};
+    return submit(r);
+  };
+  auto apply = [&](std::int64_t l, std::int64_t off, std::size_t len) {
+    std::memcpy(mirror[static_cast<std::size_t>(l)].data() + off,
+                payloads.back().data(), len);
+  };
+
+  // Slice 1, healthy: whole blocks across stripes 0 and 1 plus a
+  // sub-block write.
+  for (std::int64_t l : {std::int64_t{0}, std::int64_t{2}, per_stripe + 1}) {
+    write(l, 0, bs, 0x8000 + static_cast<std::uint64_t>(l));
+    apply(l, 0, bs);
+  }
+  write(1, 200, 100, 0x8100);
+  apply(1, 200, 100);
+  mgr.drain();
+  ASSERT_EQ(status.size(), 4u);
+  for (const auto& [idx, st] : status) EXPECT_EQ(st, Status::kOk) << idx;
+  ASSERT_EQ(vol->io_errors(), 0u);
+
+  // Row 0's horizontal parity block of stripe 0 goes bad.
+  const ErasureCode& code = vol->controller()->code();
+  const int virtual_cols = code.cols() - vol->array().disks();
+  int parity_disk = -1;
+  for (int c = 0; c < code.cols(); ++c) {
+    if (code.kind({0, c}) == CellKind::kRowParity) {
+      parity_disk = c - virtual_cols;
+    }
+  }
+  ASSERT_GE(parity_disk, 0);
+  mig::FaultPlan plan;
+  plan.bad_blocks.push_back({parity_disk, 0});
+  vol->array().set_fault_plan(plan);
+
+  // Slice 2: a sub-block write in row 0 must pre-read that parity. The
+  // whole-block writes (one in row 0, one in stripe 1) share its fate;
+  // the read does not.
+  status.clear();
+  std::vector<std::int64_t> failed;
+  failed.push_back(write(0, 0, bs, 0x8200));
+  failed.push_back(write(2, 100, 64, 0x8201));
+  failed.push_back(write(per_stripe + 2, 0, bs, 0x8202));
+  std::vector<std::uint8_t> got(bs);
+  Request rd;
+  rd.kind = OpKind::kRead;
+  rd.logical = per_stripe + 1;
+  rd.out = {got.data(), bs};
+  const std::int64_t read_idx = submit(rd);
+  mgr.drain();
+  ASSERT_EQ(status.size(), 4u);
+  for (std::int64_t idx : failed) {
+    EXPECT_EQ(status[idx], Status::kIoError) << "write " << idx;
+  }
+  EXPECT_EQ(status[read_idx], Status::kOk);
+  EXPECT_EQ(got, mirror[static_cast<std::size_t>(per_stripe + 1)]);
+  EXPECT_EQ(vol->io_errors(), failed.size());
+
+  // Cleared: every kOk write reads back byte-identical. The failed
+  // slice's stripe-1 block is left out — a failed write may land.
+  vol->array().set_fault_plan(mig::FaultPlan{});
+  for (std::int64_t l = 0; l < lb; ++l) {
+    if (l == per_stripe + 2) continue;
+    vol->controller()->read(l, {got.data(), bs});
+    EXPECT_EQ(got, mirror[static_cast<std::size_t>(l)]) << "block " << l;
+  }
+  EXPECT_TRUE(vol->controller()->scrub().empty());
+}
+
 // DRR: a tenant flooding the shard cannot starve a trickling tenant —
 // the trickle's single op completes within the first drained batch.
 TEST(Service, DrrServesTrickleTenantUnderFlood) {
