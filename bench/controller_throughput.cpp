@@ -24,10 +24,14 @@
 // sampler constructed but never started, and an idle scrubber
 // (constructed, metrics/events attached, never started) must stay
 // within 2% of a detached controller — the whole layer is supposed to
-// cost one predictable branch, and an idle scrubber nothing at all. The process exits non-zero if either gate fails
-// — CI runs this with --smoke as a perf regression tripwire. The
-// report embeds a registry snapshot of the attached controller under
-// "metrics_snapshot".
+// cost one predictable branch, and an idle scrubber nothing at all. A
+// third gate prices stripe-cache churn: shuffled single-block reads
+// over a 70-stripe Code 5-6 p = 7 array through a 16-stripe cache, so
+// nearly every read misses and recycles a slot, must cost at most 4x
+// the same reads with the cache off. The process exits non-zero if any
+// gate fails — CI runs this with --smoke as a perf regression
+// tripwire. The report embeds a registry snapshot of the attached
+// controller under "metrics_snapshot".
 
 #include <algorithm>
 #include <chrono>
@@ -312,6 +316,58 @@ OverheadReport measure_metrics_overhead(std::int64_t stripes, int groups,
   return r;
 }
 
+/// Cache-churn gate: one controller over a 70-stripe Code 5-6 p = 7
+/// array serves the same shuffled single-block read order with a
+/// 16-stripe cache and with the cache off, alternating trials on the
+/// same memory. Each side keeps its fastest trial.
+struct ChurnReport {
+  double uncached_ns = 0;  // per read, cache off
+  double cached_ns = 0;    // per read, 16-stripe cache
+  double ratio = 0;        // cached_ns / uncached_ns
+};
+
+ChurnReport measure_cache_churn(int trials, int passes_per_trial) {
+  constexpr int kChurnP = 7;
+  constexpr std::int64_t kChurnStripes = 70;
+  constexpr std::size_t kChurnCache = 16;
+  auto code = c56::make_code(c56::CodeId::kCode56, kChurnP);
+  c56::mig::DiskArray array(code->cols(), kChurnStripes * code->rows(),
+                            kBlock);
+  c56::mig::ArrayController ctrl(array, std::move(code));
+  std::vector<std::int64_t> order(
+      static_cast<std::size_t>(ctrl.logical_blocks()));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<std::int64_t>(i);
+  }
+  c56::Rng rng(0xC56'C4C4E);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next_below(i + 1)]);
+  }
+  c56::Buffer out(kBlock);
+  const auto time_side = [&](bool cached) {
+    ctrl.set_cache_stripes(cached ? kChurnCache : 0);
+    const auto t0 = Clock::now();
+    for (int p = 0; p < passes_per_trial; ++p) {
+      for (const std::int64_t l : order) ctrl.read(l, out.span());
+    }
+    return seconds_since(t0);
+  };
+  time_side(false);  // warm both sides up
+  time_side(true);
+  double best_plain = 1e300, best_cached = 1e300;
+  for (int t = 0; t < trials; ++t) {
+    best_plain = std::min(best_plain, time_side(false));
+    best_cached = std::min(best_cached, time_side(true));
+  }
+  const double reads =
+      static_cast<double>(order.size()) * passes_per_trial;
+  ChurnReport r;
+  r.uncached_ns = best_plain / reads * 1e9;
+  r.cached_ns = best_cached / reads * 1e9;
+  r.ratio = r.cached_ns / r.uncached_ns;
+  return r;
+}
+
 std::string flags(const Config& c) {
   std::string s = c.degraded ? "degraded" : "healthy";
   s += c.cached ? "+cache" : "";
@@ -442,6 +498,9 @@ int main(int argc, char** argv) {
   }
   const bool ov_pass = ov.ratio >= 0.98;
 
+  const ChurnReport churn = measure_cache_churn(smoke ? 5 : 15, 8);
+  const bool churn_pass = churn.ratio <= 4.0;
+
   json << "  ],\n  \"gate\": {\"workload\": \"seq full-stripe write, "
           "healthy, cache off\", \"per_block_mbps\": "
        << gate_pb.mbps << ", \"batched_mbps\": " << gate_ba.mbps
@@ -459,6 +518,14 @@ int main(int argc, char** argv) {
        << ", \"criteria\": \"registry + event log attached (disabled) + "
           "unarmed sampler >= 0.98x detached\", \"pass\": "
        << (ov_pass ? "true" : "false") << "},\n"
+       << "  \"cache_churn\": {\"workload\": \"shuffled single-block reads, "
+          "Code 5-6 p = 7, 70 stripes\", \"uncached_ns_per_read\": "
+       << churn.uncached_ns
+       << ", \"cached_ns_per_read\": " << churn.cached_ns
+       << ", \"ratio\": " << churn.ratio
+       << ", \"criteria\": \"16-stripe cache <= 4x cache off per read\", "
+          "\"pass\": "
+       << (churn_pass ? "true" : "false") << "},\n"
        << "  \"metrics_snapshot\": " << ov.snapshot_json << "\n}\n";
 
   std::printf(
@@ -471,11 +538,17 @@ int main(int argc, char** argv) {
       "sampler): %.1f -> %.1f MB/s (%.3fx, need >= 0.98) -> %s\n",
       ov.detached_mbps, ov.disabled_mbps, ov.ratio,
       ov_pass ? "PASS" : "FAIL");
+  std::printf(
+      "cache churn (shuffled single-block reads, p = 7, 70 stripes): cache "
+      "off %.0f ns/read, 16-stripe cache %.0f ns/read (%.2fx, need <= 4) "
+      "-> %s\n",
+      churn.uncached_ns, churn.cached_ns, churn.ratio,
+      churn_pass ? "PASS" : "FAIL");
 
   if (FILE* f = std::fopen("BENCH_controller.json", "w")) {
     std::fputs(json.str().c_str(), f);
     std::fclose(f);
     std::printf("wrote BENCH_controller.json\n");
   }
-  return pass && ov_pass ? 0 : 1;
+  return pass && ov_pass && churn_pass ? 0 : 1;
 }

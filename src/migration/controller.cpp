@@ -111,7 +111,7 @@ ArrayController::ArrayController(DiskArray& array,
     chain_begin_[static_cast<std::size_t>(flat_of(ch.parity))] =
         static_cast<int>(chain_offset_.size()) - 1;
     for (Cell in : ch.inputs) {
-      const int idx = data_index_[static_cast<std::size_t>(flat_of(in))];
+      const int idx = data_idx(in);
       assert(idx >= 0);
       by_data[static_cast<std::size_t>(idx)].push_back(ch.parity);
       chain_inputs_.push_back(in);
@@ -126,11 +126,7 @@ ArrayController::ArrayController(DiskArray& array,
 
   // Checked knob parsing: garbage keeps the default (off), negative or
   // absurd sizes clamp instead of wrapping through strtoull. The cap is
-  // a sanity bound on cache stripes, not a recommendation. Shards are
-  // read first so an env-configured cache is built with them.
-  if (const auto v = util::env_int("C56_CACHE_SHARDS", 1, 4096)) {
-    cache_shards_ = static_cast<int>(*v);
-  }
+  // a sanity bound on cache stripes, not a recommendation.
   if (const auto v = util::env_int("C56_CACHE_STRIPES", 0, 1 << 22)) {
     if (*v > 0) set_cache_stripes(static_cast<std::size_t>(*v));
   }
@@ -214,7 +210,7 @@ void ArrayController::read_repaired_cells(std::int64_t stripe,
 
 void ArrayController::read(std::int64_t logical, std::span<std::uint8_t> out) {
   const Locus l = locate(logical);
-  if (cache_ && cache_->lookup(l.stripe, flat_of(l.cell), out)) return;
+  if (cache_lookup(l.stripe, l.cell, out)) return;
   std::lock_guard sl(stripe_lock(l.stripe));
   read_cell(l.stripe, l.cell, out);
   cache_fill(l.stripe, l.cell, out);
@@ -297,7 +293,7 @@ void ArrayController::read_run(std::int64_t stripe, int i0, int n,
   for (int k = 0; k < n; ++k) {
     const Cell c = data_cells_[static_cast<std::size_t>(i0 + k)];
     const auto dst = out.subspan(static_cast<std::size_t>(k) * bs, bs);
-    if (cache_ && cache_->lookup(stripe, flat_of(c), dst)) continue;
+    if (cache_lookup(stripe, c, dst)) continue;
     degraded = degraded || cell_failed(c);
     rd.push_back({c, 0, bs, dst.data()});
   }
@@ -433,8 +429,7 @@ void ArrayController::write_stripe(std::int64_t stripe,
     ++t.entries;
   }
   const auto slot = [&](Cell c) {
-    return slot_of[static_cast<std::size_t>(
-        data_index_[static_cast<std::size_t>(flat_of(c))])];
+    return slot_of[static_cast<std::size_t>(data_idx(c))];
   };
 
   // Parities, each once; failed ones are regenerated at rebuild time. A
@@ -482,7 +477,7 @@ void ArrayController::write_stripe(std::int64_t stripe,
     if (!t.need_old) continue;
     const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
     const std::span<std::uint8_t> old{olds + s * bs, bs};
-    if (cache_ && cache_->lookup(stripe, flat_of(c), old)) {
+    if (cache_lookup(stripe, c, old)) {
       t.old_full = true;
     } else if (cell_failed(c)) {
       lost.push_back({c, 0, bs, old.data()});
@@ -633,7 +628,7 @@ void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
   const auto off = static_cast<std::size_t>(offset);
   if (cache_) {
     PooledBuffer tmp(bs);
-    if (cache_->lookup(l.stripe, flat_of(l.cell), tmp.span())) {
+    if (cache_lookup(l.stripe, l.cell, tmp.span())) {
       std::memcpy(out.data(), tmp.data() + off, out.size());
       return;
     }
@@ -714,17 +709,10 @@ void ArrayController::set_cache_stripes(std::size_t n) {
     cache_.reset();
     return;
   }
+  // More slots than stripes could never be used.
   cache_ = std::make_unique<StripeCache>(
-      n, code_->cell_count(), array_.block_bytes(),
-      static_cast<std::size_t>(cache_shards_));
-}
-
-void ArrayController::set_cache_shards(int n) {
-  if (n < 1 || n > 4096) {
-    throw std::invalid_argument("set_cache_shards: n must be in [1, 4096]");
-  }
-  cache_shards_ = n;
-  if (cache_) set_cache_stripes(cache_stripes_);  // rebuild (empty)
+      std::min<std::size_t>(n, static_cast<std::size_t>(stripes_)),
+      static_cast<int>(data_cells_.size()), array_.block_bytes());
 }
 
 void ArrayController::invalidate_cache() {

@@ -43,11 +43,13 @@
 // Parities on failed disks are skipped (rebuild regenerates them).
 //
 // An optional write-through stripe cache (set_cache_stripes() or
-// C56_CACHE_STRIPES, default off) caches *data* cells at their current
-// logical value: reads fill it, writes update it, so a hit never goes
-// to disk. fail_disk/rebuild_disk invalidate it wholesale; external
-// writers to the same DiskArray (e.g. an online-migration hand-off)
-// must call invalidate_cache().
+// C56_CACHE_STRIPES, default off) caches *data* cells, keyed by data
+// index, at their current logical value: reads fill it, writes update
+// it, so a hit never goes to disk. It is one preallocated slab of
+// min(n, stripes()) slots under one LRU and one mutex; a miss recycles
+// the coldest slot instead of allocating. fail_disk/rebuild_disk
+// invalidate it wholesale; external writers to the same DiskArray
+// (e.g. an online-migration hand-off) must call invalidate_cache().
 
 #include <array>
 #include <cstdint>
@@ -119,16 +121,10 @@ class ArrayController {
 
   /// Stripe cache control. n == 0 disables (the default, unless the
   /// C56_CACHE_STRIPES environment variable set a size at construction
-  /// time). Resizing drops all cached contents.
+  /// time). Allocates min(n, stripes()) slots up front; cache_stripes()
+  /// reports n. Resizing drops all cached contents.
   void set_cache_stripes(std::size_t n);
   std::size_t cache_stripes() const { return cache_stripes_; }
-  /// Lock shards of the stripe cache (default 8, or C56_CACHE_SHARDS
-  /// at construction time, clamped to [1, 4096]) — raise it when many
-  /// service worker threads hammer one cached volume. Takes effect on
-  /// the next set_cache_stripes(); calling this while a cache exists
-  /// rebuilds it empty. Throws std::invalid_argument outside the range.
-  void set_cache_shards(int n);
-  int cache_shards() const { return cache_shards_; }
   /// Drop every cached block. Required after anything other than this
   /// controller writes the underlying DiskArray (migration hand-off,
   /// raw_block pokes, ...).
@@ -266,9 +262,16 @@ class ArrayController {
   /// is read once. Throws if a read fails after its retries.
   void read_repaired_cells(std::int64_t stripe, std::span<const CellRead> io);
   void write_cells(std::int64_t stripe, std::vector<CellWrite>& io);
+  /// Stripe cache access for data cell `c`, keyed by its data index.
+  bool cache_lookup(std::int64_t stripe, Cell c, std::span<std::uint8_t> out) {
+    return cache_ && cache_->lookup(stripe, data_idx(c), out);
+  }
   void cache_fill(std::int64_t stripe, Cell c,
                   std::span<const std::uint8_t> v) {
-    if (cache_) cache_->fill(stripe, flat_of(c), v);
+    if (cache_) cache_->fill(stripe, data_idx(c), v);
+  }
+  int data_idx(Cell c) const {
+    return data_index_[static_cast<std::size_t>(flat_of(c))];
   }
 
   /// Stripe-level writer/scrub exclusion, striped over a fixed pool of
@@ -307,7 +310,6 @@ class ArrayController {
 
   std::unique_ptr<StripeCache> cache_;  // null when disabled
   std::size_t cache_stripes_ = 0;
-  int cache_shards_ = 8;  // StripeCache's historical default
 
   // Delta write plane switch (see set_subblock_delta).
   bool subblock_delta_ = true;

@@ -1,108 +1,96 @@
 #include "migration/stripe_cache.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
 namespace c56::mig {
 
 StripeCache::StripeCache(std::size_t capacity_stripes, int cells_per_stripe,
-                         std::size_t block_bytes, int shards)
+                         std::size_t block_bytes)
     : capacity_(capacity_stripes),
-      cells_per_stripe_(cells_per_stripe),
-      block_bytes_(block_bytes) {
-  if (capacity_stripes == 0 || cells_per_stripe <= 0 || block_bytes == 0 ||
-      shards <= 0) {
+      block_bytes_(block_bytes),
+      valid_words_((static_cast<std::size_t>(cells_per_stripe) + 63) / 64) {
+  if (capacity_stripes == 0 || cells_per_stripe <= 0 || block_bytes == 0) {
     throw std::invalid_argument("StripeCache: invalid geometry");
   }
-  // No more shards than stripes, so every shard can hold at least one.
-  const auto n = std::min<std::size_t>(static_cast<std::size_t>(shards),
-                                       capacity_stripes);
-  shards_ = std::vector<Shard>(n);
-  per_shard_capacity_ = std::max<std::size_t>(1, capacity_ / n);
+  const std::size_t slot_bytes =
+      static_cast<std::size_t>(cells_per_stripe) * block_bytes;
+  // Left uninitialised: a block is only read after fill() wrote it, and
+  // pages nobody fills are never faulted in.
+  slab_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity_stripes *
+                                                         slot_bytes);
+  valid_.assign(capacity_stripes * valid_words_, 0);
+  for (std::size_t i = 0; i < capacity_stripes; ++i) {
+    lru_.push_back({kFree, slab_.get() + i * slot_bytes,
+                    valid_.data() + i * valid_words_});
+  }
+  index_.reserve(capacity_stripes);
 }
 
 bool StripeCache::lookup(std::int64_t stripe, int cell,
                          std::span<std::uint8_t> out) {
-  Shard& s = shard_of(stripe);
-  std::lock_guard lk(s.mu);
-  const auto it = s.index.find(stripe);
-  if (it == s.index.end()) {
-    ++s.stats.misses;
-    return false;
-  }
-  Entry& e = *it->second;
+  std::lock_guard lk(mu_);
+  const auto it = index_.find(stripe);
   const auto word = static_cast<std::size_t>(cell) / 64;
   const std::uint64_t bit = 1ull << (static_cast<std::size_t>(cell) % 64);
-  if (!(e.valid[word] & bit)) {
-    ++s.stats.misses;
+  if (it == index_.end() || !(it->second->valid[word] & bit)) {
+    ++stats_.misses;
     return false;
   }
-  std::memcpy(out.data(),
-              e.blocks.block(static_cast<std::size_t>(cell), block_bytes_)
-                  .data(),
-              block_bytes_);
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
-  ++s.stats.hits;
+  std::memcpy(out.data(), block(*it->second, cell), block_bytes_);
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++stats_.hits;
   return true;
 }
 
 void StripeCache::fill(std::int64_t stripe, int cell,
                        std::span<const std::uint8_t> in) {
-  Shard& s = shard_of(stripe);
-  std::lock_guard lk(s.mu);
-  auto it = s.index.find(stripe);
-  if (it == s.index.end()) {
-    if (s.lru.size() >= per_shard_capacity_) {
-      s.index.erase(s.lru.back().stripe);
-      s.lru.pop_back();
-      ++s.stats.evictions;
+  assert(stripe >= 0 && "StripeCache keys are non-negative stripe indices");
+  std::lock_guard lk(mu_);
+  auto it = index_.find(stripe);
+  if (it == index_.end()) {
+    // Recycle the coldest slot: free slots sit at the tail, so a
+    // stripe is evicted only when every slot is taken.
+    const Lru::iterator victim = std::prev(lru_.end());
+    if (victim->stripe == kFree) {
+      it = index_.emplace(stripe, victim).first;
+    } else {
+      auto node = index_.extract(victim->stripe);
+      node.key() = stripe;
+      it = index_.insert(std::move(node)).position;
+      ++stats_.evictions;
     }
-    s.lru.push_front(Entry{
-        stripe,
-        Buffer(static_cast<std::size_t>(cells_per_stripe_) * block_bytes_),
-        std::vector<std::uint64_t>(
-            (static_cast<std::size_t>(cells_per_stripe_) + 63) / 64, 0)});
-    it = s.index.emplace(stripe, s.lru.begin()).first;
-    ++s.stats.insertions;
-  } else {
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    victim->stripe = stripe;
+    std::fill_n(victim->valid, valid_words_, 0);
+    ++stats_.insertions;
   }
-  Entry& e = *it->second;
-  std::memcpy(
-      e.blocks.block(static_cast<std::size_t>(cell), block_bytes_).data(),
-      in.data(), block_bytes_);
-  e.valid[static_cast<std::size_t>(cell) / 64] |=
+  Slot& s = *it->second;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  std::memcpy(block(s, cell), in.data(), block_bytes_);
+  s.valid[static_cast<std::size_t>(cell) / 64] |=
       1ull << (static_cast<std::size_t>(cell) % 64);
 }
 
 void StripeCache::invalidate(std::int64_t stripe) {
-  Shard& s = shard_of(stripe);
-  std::lock_guard lk(s.mu);
-  const auto it = s.index.find(stripe);
-  if (it == s.index.end()) return;
-  s.lru.erase(it->second);
-  s.index.erase(it);
+  std::lock_guard lk(mu_);
+  const auto it = index_.find(stripe);
+  if (it == index_.end()) return;
+  it->second->stripe = kFree;
+  lru_.splice(lru_.end(), lru_, it->second);
+  index_.erase(it);
 }
 
 void StripeCache::invalidate_all() {
-  for (Shard& s : shards_) {
-    std::lock_guard lk(s.mu);
-    s.lru.clear();
-    s.index.clear();
-  }
+  std::lock_guard lk(mu_);
+  for (Slot& s : lru_) s.stripe = kFree;
+  index_.clear();
 }
 
 StripeCache::Stats StripeCache::stats() const {
-  Stats total;
-  for (const Shard& s : shards_) {
-    std::lock_guard lk(s.mu);
-    total.hits += s.stats.hits;
-    total.misses += s.stats.misses;
-    total.insertions += s.stats.insertions;
-    total.evictions += s.stats.evictions;
-  }
-  return total;
+  std::lock_guard lk(mu_);
+  return stats_;
 }
 
 }  // namespace c56::mig

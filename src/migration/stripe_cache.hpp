@@ -1,30 +1,34 @@
 #pragma once
-// Sharded write-through LRU cache of stripe block contents, keyed by
-// (stripe, flat cell index). An entry owns one stripe's worth of block
-// storage plus a validity bitmap, so the cache can hold partially
-// populated stripes (each block becomes valid when it is first read or
-// written through the owning controller). The cache never goes to disk
-// itself: the ArrayController performs the I/O and calls fill() after
-// every successful read or write (write-through), so a hit is always
-// the block's current logical value as long as every mutation of the
-// array flows through that controller. Anything else touching the
-// array — a disk failure, a rebuild, an online-migration hand-off —
-// must invalidate (the controller does this on fail_disk/rebuild_disk
-// and exposes invalidate_cache() for external writers).
+// Write-through LRU cache of stripe data blocks, keyed by (stripe, data
+// index within the stripe). It is one slab of fixed slots allocated at
+// construction: a slot holds one stripe's data blocks plus a validity
+// bitmap, so the cache can hold partially populated stripes (each block
+// becomes valid when it is first read or written through the owning
+// controller). A fill of an absent stripe takes the least recently used
+// slot, clears its validity bits and re-keys it, so a miss that evicts
+// allocates no block storage and zero-fills nothing. An invalidated
+// slot moves to the LRU tail and is reused first.
 //
-// Thread safety: shards are independently mutex-guarded, so concurrent
-// lookup/fill/invalidate from any number of threads is safe. Stripes
-// map to shards by index, spreading a sequential scan across locks.
+// The cache never goes to disk itself: the ArrayController performs the
+// I/O and calls fill() after every successful read or write
+// (write-through), so a hit is always the block's current logical value
+// as long as every mutation of the array flows through that controller.
+// Anything else touching the array — a disk failure, a rebuild, an
+// online-migration hand-off — must invalidate (the controller does this
+// on fail_disk/rebuild_disk and exposes invalidate_cache() for external
+// writers).
+//
+// Thread safety: one mutex guards the LRU, the index and every copy, so
+// concurrent lookup/fill/invalidate from any number of threads is safe
+// and a block is only ever copied whole (no torn block is visible).
 
-#include <cassert>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
-
-#include "xorblk/buffer.hpp"
 
 namespace c56::mig {
 
@@ -33,14 +37,14 @@ class StripeCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;  // entries created
-    std::uint64_t evictions = 0;   // entries pushed out by capacity
+    std::uint64_t insertions = 0;  // stripes installed into a slot
+    std::uint64_t evictions = 0;   // stripes pushed out by capacity
   };
 
-  /// Cache of at most `capacity_stripes` stripes of `cells_per_stripe`
-  /// blocks of `block_bytes` each, spread over `shards` locks.
+  /// Cache of `capacity_stripes` stripes of `cells_per_stripe` data
+  /// blocks of `block_bytes` each; every slot is allocated here.
   StripeCache(std::size_t capacity_stripes, int cells_per_stripe,
-              std::size_t block_bytes, int shards = 8);
+              std::size_t block_bytes);
 
   std::size_t capacity_stripes() const { return capacity_; }
 
@@ -49,43 +53,38 @@ class StripeCache {
   bool lookup(std::int64_t stripe, int cell, std::span<std::uint8_t> out);
 
   /// Install the block's current value (insert-or-update + LRU touch),
-  /// evicting the least recently used stripe of the shard when full.
+  /// recycling the least recently used slot when the stripe is absent.
   void fill(std::int64_t stripe, int cell, std::span<const std::uint8_t> in);
 
   /// Drop one stripe / everything.
   void invalidate(std::int64_t stripe);
   void invalidate_all();
 
-  /// Aggregated over all shards.
   Stats stats() const;
 
  private:
-  struct Entry {
-    std::int64_t stripe;
-    Buffer blocks;                     // cells_per_stripe * block_bytes
-    std::vector<std::uint64_t> valid;  // bitmap over cell indices
+  static constexpr std::int64_t kFree = -1;
+  struct Slot {
+    std::int64_t stripe = kFree;
+    std::uint8_t* blocks = nullptr;  // cells_per_stripe blocks, in slab_
+    std::uint64_t* valid = nullptr;  // bitmap over data indices, in valid_
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::int64_t, std::list<Entry>::iterator> index;
-    Stats stats;
-  };
+  using Lru = std::list<Slot>;
 
-  Shard& shard_of(std::int64_t stripe) {
-    // The key domain is non-negative stripe indices. A negative stripe
-    // cast through size_t would wrap to a huge value and still land in
-    // *some* shard, silently splitting one stripe's entries across
-    // shards between callers that disagree on sign — catch it here.
-    assert(stripe >= 0 && "StripeCache keys are non-negative stripe indices");
-    return shards_[static_cast<std::size_t>(stripe) % shards_.size()];
+  std::uint8_t* block(const Slot& s, int cell) const {
+    return s.blocks + static_cast<std::size_t>(cell) * block_bytes_;
   }
 
-  std::size_t capacity_;            // total stripes
-  std::size_t per_shard_capacity_;  // stripes per shard
-  int cells_per_stripe_;
+  std::size_t capacity_;
   std::size_t block_bytes_;
-  std::vector<Shard> shards_;
+  std::size_t valid_words_;  // bitmap words per slot
+  std::unique_ptr<std::uint8_t[]> slab_;
+  std::vector<std::uint64_t> valid_;
+
+  mutable std::mutex mu_;
+  Lru lru_;  // every slot; front = most recently used, free slots last
+  std::unordered_map<std::int64_t, Lru::iterator> index_;
+  Stats stats_;
 };
 
 }  // namespace c56::mig

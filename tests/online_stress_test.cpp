@@ -312,15 +312,16 @@ TEST(OnlineStress, PartialWritersScrubberRaceFourWorkerConversion) {
 }
 
 TEST(OnlineStress, StripeCacheConcurrentWritersReadersInvalidator) {
-  // Hammer the sharded cache directly: writers fill canonical
-  // per-(stripe, cell) patterns, readers check that any hit returns an
-  // exact canonical block (a torn fill — half old, half new — can never
-  // be observed), and an invalidator keeps the LRU lists churning. The
-  // canonical pattern makes every byte self-identifying, so TSan and
-  // the content check together cover both the locking and the copies.
+  // Hammer the cache directly: writers fill canonical per-(stripe, cell)
+  // patterns, readers check that any hit returns an exact canonical
+  // block (a torn fill — half old, half new — or a block left over from
+  // a recycled slot's previous stripe can never be observed), and an
+  // invalidator keeps the LRU churning. The canonical pattern makes
+  // every byte self-identifying, so TSan and the content check together
+  // cover both the locking and the copies.
   constexpr int kStripesTotal = 32;
   constexpr int kCells = 16;
-  StripeCache cache(8, kCells, kBlock, /*shards=*/4);
+  StripeCache cache(8, kCells, kBlock);
   const auto canonical = [](std::int64_t stripe, int cell) {
     Buffer b(kBlock);
     for (std::size_t i = 0; i < kBlock; ++i) {

@@ -52,8 +52,7 @@ TEST(StripeCache, FillOverwritesInPlace) {
 }
 
 TEST(StripeCache, LruEvictsColdestStripe) {
-  // One shard so the LRU order is global and observable.
-  StripeCache cache(2, 4, kBlock, /*shards=*/1);
+  StripeCache cache(2, 4, kBlock);
   cache.fill(0, 0, pattern(1).span());
   cache.fill(1, 0, pattern(2).span());
   Buffer got(kBlock);
@@ -204,10 +203,10 @@ TEST(ControllerCache, FailAndRebuildInvalidate) {
 }
 
 TEST(StripeCache, EvictionCountedOncePerEvictedStripe) {
-  // capacity 2, one shard: every insertion beyond the second evicts
-  // exactly one stripe, and evictions must count one per stripe pushed
-  // out — not per cell, not per LRU touch.
-  StripeCache cache(2, /*cells_per_stripe=*/4, kBlock, /*shards=*/1);
+  // capacity 2: every insertion beyond the second evicts exactly one
+  // stripe, and evictions must count one per stripe pushed out — not
+  // per cell, not per LRU touch.
+  StripeCache cache(2, /*cells_per_stripe=*/4, kBlock);
   std::vector<std::uint8_t> blk(kBlock, 0x11);
   cache.fill(0, 0, blk);
   cache.fill(0, 1, blk);  // same stripe: update, no insertion
@@ -223,13 +222,12 @@ TEST(StripeCache, EvictionCountedOncePerEvictedStripe) {
   EXPECT_EQ(cache.stats().insertions, 4u);
 }
 
-TEST(StripeCache, SingleShardHammer) {
-  // All traffic lands in one shard (stripes are multiples of the shard
-  // count), so every thread contends on one mutex: the TSan CI leg
+TEST(StripeCache, ConcurrentHammer) {
+  // Every thread contends on the cache's one mutex: the TSan CI leg
   // turns this into a lock-correctness check for fill / lookup /
   // invalidate racing each other.
-  constexpr int kShards = 4;
-  StripeCache cache(kShards, /*cells_per_stripe=*/2, kBlock, kShards);
+  constexpr int kCapacity = 4;
+  StripeCache cache(kCapacity, /*cells_per_stripe=*/2, kBlock);
   constexpr int kThreads = 4;
   constexpr int kIters = 1998;  // divisible by 3: exact op-mix accounting
   std::vector<std::thread> threads;
@@ -240,7 +238,7 @@ TEST(StripeCache, SingleShardHammer) {
       std::vector<std::uint8_t> out(kBlock);
       for (int i = 0; i < kIters; ++i) {
         const std::int64_t stripe =
-            static_cast<std::int64_t>(i % 3) * kShards;  // shard 0 always
+            static_cast<std::int64_t>(i % 3) * kCapacity;
         switch ((i + t) % 3) {
           case 0: cache.fill(stripe, i % 2, blk); break;
           case 1: cache.lookup(stripe, i % 2, out); break;
@@ -275,73 +273,91 @@ TEST(ControllerCache, CacheStripesKnobChecksItsInput) {
   stripes_with("99999999999999999999");  // overflow -> clamped cap
 }
 
-TEST(StripeCache, ShardCountPreservesCapacityContract) {
-  // Capacity 9 over 3 shards: stripe % 3 spreads a sequential scan one
-  // stripe per shard slot, so all nine coexist and every lookup hits.
-  StripeCache cache(9, 4, kBlock, 3);
+TEST(StripeCache, HoldsExactlyItsCapacity) {
+  // One LRU over every slot: ten stripes fit a ten-stripe cache whatever
+  // their indices, so every lookup hits and nothing is evicted.
+  StripeCache cache(10, 4, kBlock);
   const Buffer want = pattern(0x3C);
   Buffer got(kBlock);
-  for (std::int64_t s = 0; s < 9; ++s) cache.fill(s, 0, want.span());
-  for (std::int64_t s = 0; s < 9; ++s) {
+  for (std::int64_t s = 0; s < 10; ++s) cache.fill(s, 0, want.span());
+  for (std::int64_t s = 0; s < 10; ++s) {
     EXPECT_TRUE(cache.lookup(s, 0, got.span())) << "stripe " << s;
     EXPECT_TRUE(got == want);
   }
   EXPECT_EQ(cache.stats().evictions, 0u);
-  // More shards than stripes clamps so each shard holds >= 1 stripe.
-  StripeCache tiny(2, 4, kBlock, 64);
+  // The smallest multi-stripe cache holds both stripes it was filled with.
+  StripeCache tiny(2, 4, kBlock);
   tiny.fill(0, 0, want.span());
   tiny.fill(1, 0, want.span());
   EXPECT_TRUE(tiny.lookup(0, 0, got.span()));
   EXPECT_TRUE(tiny.lookup(1, 0, got.span()));
+  EXPECT_EQ(tiny.stats().evictions, 0u);
 }
 
-TEST(ControllerCache, CacheShardsKnobChecksItsInput) {
-  // C56_CACHE_SHARDS rides the same checked env parser: garbage keeps
-  // the historical default of 8, out-of-range values clamp to [1, 4096].
-  int expected = 8;
-  const auto shards_with = [&](const char* v) {
-    ASSERT_EQ(setenv("C56_CACHE_SHARDS", v, 1), 0) << v;
-    auto code = make_code(CodeId::kCode56, 5);
-    DiskArray array(code->cols(), 2LL * code->rows(), kBlock);
-    ArrayController ctrl(array, std::move(code));
-    unsetenv("C56_CACHE_SHARDS");
-    EXPECT_EQ(ctrl.cache_shards(), expected) << v;
-  };
-  shards_with("garbage");  // non-numeric -> default
-  shards_with("8junk");    // trailing junk -> default
-  expected = 16;
-  shards_with("16");
-  expected = 1;
-  shards_with("0");   // below range -> clamps to 1
-  shards_with("-3");
-  expected = 4096;
-  shards_with("999999999");  // above range -> clamps to the cap
+TEST(StripeCache, RecycledSlotKeepsNoStaleBlocks) {
+  // Capacity 1: stripe 1 takes stripe 0's slot. Only the cell filled
+  // after the recycle is valid; stripe 0's blocks are gone, and a miss
+  // copies nothing, so no lookup ever sees stripe 0's bytes.
+  StripeCache cache(1, 4, kBlock);
+  for (int c = 0; c < 4; ++c) {
+    cache.fill(0, c, pattern(static_cast<std::uint8_t>(0x10 + c)).span());
+  }
+  const Buffer mine = pattern(0x77);
+  cache.fill(1, 0, mine.span());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  const Buffer untouched = pattern(0xEE);
+  Buffer got = untouched;
+  ASSERT_TRUE(cache.lookup(1, 0, got.span()));
+  EXPECT_TRUE(got == mine);
+  for (int c = 1; c < 4; ++c) {
+    got = untouched;
+    EXPECT_FALSE(cache.lookup(1, c, got.span())) << "cell " << c;
+    EXPECT_TRUE(got == untouched) << "cell " << c;
+  }
+  for (int c = 0; c < 4; ++c) {
+    got = untouched;
+    EXPECT_FALSE(cache.lookup(0, c, got.span())) << "cell " << c;
+    EXPECT_TRUE(got == untouched) << "cell " << c;
+  }
 }
 
-TEST(ControllerCache, SetCacheShardsRebuildsEmpty) {
-  auto code = make_code(CodeId::kCode56, 5);
-  DiskArray array(code->cols(), 2LL * code->rows(), kBlock);
-  ArrayController ctrl(array, std::move(code));
-  EXPECT_THROW(ctrl.set_cache_shards(0), std::invalid_argument);
-  EXPECT_THROW(ctrl.set_cache_shards(4097), std::invalid_argument);
-  ctrl.set_cache_stripes(2);
-
-  // Warm the cache: the write-through fill makes this read a hit.
-  const Buffer b = pattern(0x5A);
-  ctrl.write(0, b.span());
+TEST(StripeCache, InvalidatedSlotIsReusedWithoutEviction) {
+  StripeCache cache(2, 4, kBlock);
+  const Buffer want = pattern(0x42);
   Buffer got(kBlock);
-  ctrl.read(0, got.span());
-  EXPECT_GT(ctrl.cache_stats().hits, 0u);
+  cache.fill(0, 0, want.span());
+  cache.fill(1, 0, want.span());
+  cache.invalidate(1);  // the most recently used stripe
+  cache.fill(2, 0, want.span());  // takes stripe 1's freed slot
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().insertions, 3u);
+  EXPECT_TRUE(cache.lookup(0, 0, got.span()));
+  EXPECT_FALSE(cache.lookup(1, 0, got.span()));
+  EXPECT_TRUE(cache.lookup(2, 0, got.span()));
+  // Every slot freed by invalidate_all is reused before any eviction.
+  cache.invalidate_all();
+  cache.fill(3, 0, want.span());
+  cache.fill(4, 0, want.span());
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
 
-  ctrl.set_cache_shards(3);
-  EXPECT_EQ(ctrl.cache_shards(), 3);
-  EXPECT_EQ(ctrl.cache_stripes(), 2u);  // capacity survives the rebuild
-  EXPECT_EQ(ctrl.cache_stats().hits, 0u);  // contents and stats do not
-
-  ctrl.write(1, b.span());
-  ctrl.read(1, got.span());
-  EXPECT_GT(ctrl.cache_stats().hits, 0u);  // resharded cache still works
-  EXPECT_TRUE(got == b);
+TEST(ControllerCache, WholeArrayCacheRereadsWithoutIo) {
+  // A cache sized to the whole array holds the whole array: after one
+  // pass of reads, a second pass is served without any disk read.
+  auto code = make_code(CodeId::kCode56, 5);
+  DiskArray array(code->cols(), 10LL * code->rows(), kBlock);
+  ArrayController ctrl(array, std::move(code));
+  ctrl.set_cache_stripes(10);
+  Buffer got(kBlock);
+  for (std::int64_t l = 0; l < ctrl.logical_blocks(); ++l) {
+    ctrl.read(l, got.span());
+  }
+  const std::uint64_t r0 = array.total_reads();
+  for (std::int64_t l = 0; l < ctrl.logical_blocks(); ++l) {
+    ctrl.read(l, got.span());
+  }
+  EXPECT_EQ(array.total_reads(), r0);
+  EXPECT_EQ(ctrl.cache_stats().evictions, 0u);
 }
 
 TEST(ControllerCache, EnvVarEnablesCacheAtConstruction) {
