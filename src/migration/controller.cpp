@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -54,6 +55,18 @@ void for_each_run(std::vector<Io>& io, std::size_t bs, Run&& run) {
     run(i, j);
     i = j;
   }
+}
+
+// One whole-block entry per block of `buf`, from block `logical` on.
+template <class Sub, class Byte>
+std::vector<Sub> whole_blocks(std::int64_t logical, std::span<Byte> buf,
+                              std::size_t bs) {
+  std::vector<Sub> batch(buf.size() / bs);
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    batch[k] = {logical + static_cast<std::int64_t>(k), 0,
+                buf.subspan(k * bs, bs)};
+  }
+  return batch;
 }
 
 }  // namespace
@@ -169,23 +182,6 @@ std::span<const Cell> ArrayController::parities_of(int idx) const {
                                         parities_offset_[idx]));
 }
 
-void ArrayController::read_cell(std::int64_t stripe, Cell c,
-                                std::span<std::uint8_t> out) {
-  if (kind_[static_cast<std::size_t>(flat_of(c))] == CellKind::kVirtual) {
-    std::ranges::fill(out, std::uint8_t{0});
-    return;
-  }
-  if (cell_failed(c)) {
-    const CellRead x{c, 0, out.size(), out.data()};
-    read_repaired_cells(stripe, {&x, 1});
-  } else {
-    const IoResult r = read_block_retry(array_, disk_of(c.col),
-                                        block_of(stripe, c.row), out,
-                                        RetryPolicy{}, nullptr);
-    if (!r.ok()) throw_io("read failed", r);
-  }
-}
-
 void ArrayController::read_repaired_cells(std::int64_t stripe,
                                           std::span<const CellRead> io) {
   const std::size_t bs = array_.block_bytes();
@@ -208,22 +204,42 @@ void ArrayController::read_repaired_cells(std::int64_t stripe,
   }
 }
 
+void ArrayController::check_range(std::int64_t logical, std::int64_t offset,
+                                  std::size_t len, const char* what) const {
+  const std::size_t bs = array_.block_bytes();
+  if (logical < 0 || logical >= logical_blocks() || offset < 0 ||
+      offset > static_cast<std::int64_t>(bs) ||
+      len > bs - static_cast<std::size_t>(offset)) {
+    throw std::out_of_range(std::string("ArrayController::") + what +
+                            ": bad range");
+  }
+}
+
+void ArrayController::check_blocks(std::int64_t logical, std::int64_t count,
+                                   std::size_t len, const char* what) const {
+  // Overflow-safe range check: `logical + count` can wrap for huge
+  // counts, so compare count against the remaining span instead. A
+  // range ending exactly at logical_blocks() is valid.
+  if (count < 0 || logical < 0 || logical > logical_blocks() ||
+      count > logical_blocks() - logical) {
+    throw std::out_of_range(std::string("ArrayController::") + what +
+                            ": bad logical range");
+  }
+  if (len != static_cast<std::size_t>(count) * array_.block_bytes()) {
+    throw std::invalid_argument(std::string("ArrayController::") + what +
+                                ": bad buffer size");
+  }
+}
+
 void ArrayController::read(std::int64_t logical, std::span<std::uint8_t> out) {
-  const Locus l = locate(logical);
-  if (cache_lookup(l.stripe, l.cell, out)) return;
-  std::lock_guard sl(stripe_lock(l.stripe));
-  read_cell(l.stripe, l.cell, out);
-  cache_fill(l.stripe, l.cell, out);
+  check_blocks(logical, 1, out.size(), "read");
+  const SubRead r{logical, 0, out};
+  read_from_stripe(locate(logical).stripe, {&r, 1});
 }
 
 void ArrayController::write(std::int64_t logical,
                             std::span<const std::uint8_t> in) {
-  if (logical < 0 || logical >= logical_blocks()) {
-    throw std::out_of_range("ArrayController::write: bad logical block");
-  }
-  if (in.size() != array_.block_bytes()) {
-    throw std::invalid_argument("ArrayController::write: bad buffer size");
-  }
+  check_blocks(logical, 1, in.size(), "write");
   const SubWrite w{logical, 0, in};
   const std::int64_t stripe = locate(logical).stripe;
   std::lock_guard sl(stripe_lock(stripe));
@@ -232,79 +248,14 @@ void ArrayController::write(std::int64_t logical,
 
 void ArrayController::read(std::int64_t logical, std::int64_t count,
                            std::span<std::uint8_t> out) {
-  const std::size_t bs = array_.block_bytes();
-  // Overflow-safe range check: `logical + count` can wrap for huge
-  // counts, so compare count against the remaining span instead. A
-  // range ending exactly at logical_blocks() is valid.
-  if (count < 0 || logical < 0 || logical > logical_blocks() ||
-      count > logical_blocks() - logical) {
-    throw std::out_of_range("ArrayController::read: bad logical range");
-  }
-  if (out.size() != static_cast<std::size_t>(count) * bs) {
-    throw std::invalid_argument("ArrayController::read: bad buffer size");
-  }
-  if (count == 0) return;  // validated no-op, planner never invoked
-  const bool obs_on = obs::metrics_enabled();
-  std::chrono::steady_clock::time_point t0;
-  if (obs_on) t0 = std::chrono::steady_clock::now();
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
-  std::int64_t done = 0;
-  while (done < count) {
-    const std::int64_t l = logical + done;
-    const auto i0 = static_cast<int>(l % per);
-    const auto n =
-        static_cast<int>(std::min<std::int64_t>(per - i0, count - done));
-    std::lock_guard sl(stripe_lock(l / per));
-    read_run(l / per, i0, n,
-             out.subspan(static_cast<std::size_t>(done) * bs,
-                         static_cast<std::size_t>(n) * bs));
-    done += n;
-  }
-  if (obs_on) {
-    ranged_reads_.inc();
-    read_latency_us_.observe(elapsed_us(t0));
-  }
+  check_blocks(logical, count, out.size(), "read");
+  read_range(whole_blocks<SubRead>(logical, out, array_.block_bytes()));
 }
 
 void ArrayController::write(std::int64_t logical, std::int64_t count,
                             std::span<const std::uint8_t> in) {
-  const std::size_t bs = array_.block_bytes();
-  // Same overflow-safe range semantics as ranged read (see above).
-  if (count < 0 || logical < 0 || logical > logical_blocks() ||
-      count > logical_blocks() - logical) {
-    throw std::out_of_range("ArrayController::write: bad logical range");
-  }
-  if (in.size() != static_cast<std::size_t>(count) * bs) {
-    throw std::invalid_argument("ArrayController::write: bad buffer size");
-  }
-  std::vector<SubWrite> batch(static_cast<std::size_t>(count));
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    batch[k] = {logical + static_cast<std::int64_t>(k), 0,
-                in.subspan(k * bs, bs)};
-  }
-  write_range(batch);
-}
-
-void ArrayController::read_run(std::int64_t stripe, int i0, int n,
-                               std::span<std::uint8_t> out) {
-  const std::size_t bs = array_.block_bytes();
-  std::vector<CellRead> rd;
-  bool degraded = false;
-  for (int k = 0; k < n; ++k) {
-    const Cell c = data_cells_[static_cast<std::size_t>(i0 + k)];
-    const auto dst = out.subspan(static_cast<std::size_t>(k) * bs, bs);
-    if (cache_lookup(stripe, c, dst)) continue;
-    degraded = degraded || cell_failed(c);
-    rd.push_back({c, 0, bs, dst.data()});
-  }
-  // With a lost cell in the run, one plan serves the whole run, so every
-  // block is read once.
-  if (degraded) {
-    read_repaired_cells(stripe, rd);
-  } else {
-    read_cells(stripe, rd);
-  }
-  for (const CellRead& x : rd) cache_fill(stripe, x.cell, {x.block, bs});
+  check_blocks(logical, count, in.size(), "write");
+  write_range(whole_blocks<SubWrite>(logical, in, array_.block_bytes()));
 }
 
 void ArrayController::read_cells(std::int64_t stripe,
@@ -611,43 +562,82 @@ void ArrayController::write_stripe(std::int64_t stripe,
   }
 }
 
-void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
-                                 std::span<std::uint8_t> out) {
+void ArrayController::read_from_stripe(std::int64_t stripe,
+                                       std::span<const SubRead> ops) {
   const std::size_t bs = array_.block_bytes();
-  if (logical < 0 || logical >= logical_blocks() || offset < 0 ||
-      offset > static_cast<std::int64_t>(bs) ||
-      out.size() > bs - static_cast<std::size_t>(offset)) {
-    throw std::out_of_range("ArrayController::read_range: bad range");
+  const std::int64_t first =
+      stripe * static_cast<std::int64_t>(data_cells_.size());
+  // A touched cell's bytes land in the block at img (an entry's buffer if
+  // one wants the whole block, else scratch) over the hull [lo, hi) of its
+  // entries' ranges. The vectors are reused (the reader never nests).
+  struct Want {
+    int idx;
+    std::size_t lo, hi;
+    std::uint8_t* img = nullptr;
+  };
+  thread_local std::vector<int> slot_of;
+  thread_local std::vector<Want> want;
+  thread_local std::vector<CellRead> rd;
+  slot_of.assign(data_cells_.size(), -1);
+  want.clear();
+  const auto slot = [&](const SubRead& e) -> int& {
+    return slot_of[static_cast<std::size_t>(e.logical - first)];
+  };
+  for (const SubRead& e : ops) {
+    int& s = slot(e);
+    if (s < 0) {
+      s = static_cast<int>(want.size());
+      want.push_back({static_cast<int>(e.logical - first), bs, 0});
+    }
+    Want& w = want[static_cast<std::size_t>(s)];
+    w.lo = std::min(w.lo, static_cast<std::size_t>(e.offset));
+    w.hi = std::max(w.hi, static_cast<std::size_t>(e.offset) + e.out.size());
+    if (e.out.size() == bs && !w.img) w.img = e.out.data();
   }
-  if (out.empty()) return;  // validated no-op
-  if (offset == 0 && out.size() == bs) {
-    read(logical, out);
-    return;
-  }
-  const Locus l = locate(logical);
-  const auto off = static_cast<std::size_t>(offset);
-  if (cache_) {
-    PooledBuffer tmp(bs);
-    if (cache_lookup(l.stripe, l.cell, tmp.span())) {
-      std::memcpy(out.data(), tmp.data() + off, out.size());
-      return;
+  const auto scratch = static_cast<std::size_t>(
+      std::ranges::count(want, nullptr, &Want::img));
+  std::optional<PooledBuffer> tmp;
+  if (scratch > 0) tmp.emplace(scratch * bs);
+  std::uint8_t* next = tmp ? tmp->data() : nullptr;
+  // Cache hits are served before the stripe lock.
+  rd.clear();
+  for (Want& w : want) {
+    if (!w.img) w.img = std::exchange(next, next + bs);
+    const Cell c = data_cells_[static_cast<std::size_t>(w.idx)];
+    if (!cache_lookup(stripe, c, {w.img, bs})) {
+      rd.push_back({c, w.lo, w.hi, w.img});
     }
   }
-  std::lock_guard sl(stripe_lock(l.stripe));
-  if (cell_failed(l.cell)) {
-    // Reconstruction is whole-block by nature (the XOR chains cover
-    // full blocks); slice the range and keep the full value cached.
-    PooledBuffer tmp(bs);
-    read_cell(l.stripe, l.cell, tmp.span());
-    std::memcpy(out.data(), tmp.data() + off, out.size());
-    cache_fill(l.stripe, l.cell, tmp.span());
-    return;
+  if (!rd.empty()) {
+    std::lock_guard sl(stripe_lock(stripe));
+    // With a lost cell among the misses, one plan serves every missed
+    // cell whole, so each block it needs is read once.
+    if (std::ranges::any_of(rd, [&](const CellRead& x) {
+          return cell_failed(x.cell);
+        })) {
+      for (CellRead& x : rd) x = {x.cell, 0, bs, x.block};
+      read_repaired_cells(stripe, rd);
+    } else {
+      read_cells(stripe, rd);
+    }
+    for (const CellRead& x : rd) {
+      if (x.lo == 0 && x.hi == bs) cache_fill(stripe, x.cell, {x.block, bs});
+    }
   }
-  const IoResult r =
-      read_range_retry(array_, disk_of(l.cell.col),
-                       block_of(l.stripe, l.cell.row), off, out,
-                       RetryPolicy{}, nullptr);
-  if (!r.ok()) throw_io("range read failed", r);
+  for (const SubRead& e : ops) {
+    const std::uint8_t* img = want[static_cast<std::size_t>(slot(e))].img;
+    if (e.out.data() != img) {
+      std::memcpy(e.out.data(), img + e.offset, e.out.size());
+    }
+  }
+}
+
+void ArrayController::read_range(std::int64_t logical, std::int64_t offset,
+                                 std::span<std::uint8_t> out) {
+  check_range(logical, offset, out.size(), "read_range");
+  if (out.empty()) return;  // validated no-op
+  const SubRead r{logical, offset, out};
+  read_from_stripe(locate(logical).stripe, {&r, 1});
 }
 
 void ArrayController::write_range(std::int64_t logical, std::int64_t offset,
@@ -656,51 +646,62 @@ void ArrayController::write_range(std::int64_t logical, std::int64_t offset,
   write_range(std::span<const SubWrite>(&w, 1));
 }
 
-void ArrayController::write_range(std::span<const SubWrite> batch) {
-  const std::size_t bs = array_.block_bytes();
-  for (const SubWrite& w : batch) {
-    if (w.logical < 0 || w.logical >= logical_blocks() || w.offset < 0 ||
-        w.offset > static_cast<std::int64_t>(bs) ||
-        w.data.size() > bs - static_cast<std::size_t>(w.offset)) {
-      throw std::out_of_range("ArrayController::write_range: bad range");
-    }
+template <class Sub, class Bytes, class Fn>
+void ArrayController::for_each_stripe(std::span<const Sub> batch,
+                                      Bytes Sub::*bytes, const char* what,
+                                      obs::Counter& calls,
+                                      obs::Histogram& latency, Fn&& fn) {
+  for (const Sub& e : batch) {
+    check_range(e.logical, e.offset, (e.*bytes).size(), what);
   }
   // Validated zero-length entries are no-ops; group the rest by stripe,
   // preserving batch order within each stripe (overlaps apply in order).
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
-  std::vector<SubWrite> ops;
+  std::vector<Sub> ops;
   ops.reserve(batch.size());
-  for (const SubWrite& w : batch) {
-    if (!w.data.empty()) ops.push_back(w);
+  for (const Sub& e : batch) {
+    if (!(e.*bytes).empty()) ops.push_back(e);
   }
   if (ops.empty()) return;
   const bool obs_on = obs::metrics_enabled();
   std::chrono::steady_clock::time_point t0;
   if (obs_on) t0 = std::chrono::steady_clock::now();
+  const auto per = static_cast<std::int64_t>(data_cells_.size());
+  std::stable_sort(ops.begin(), ops.end(), [per](const Sub& a, const Sub& b) {
+    return a.logical / per < b.logical / per;
+  });
+  for (std::size_t i = 0, j = 0; i < ops.size(); i = j) {
+    const std::int64_t stripe = ops[i].logical / per;
+    while (j < ops.size() && ops[j].logical / per == stripe) ++j;
+    fn(stripe, std::span<const Sub>(ops.data() + i, j - i));
+  }
+  if (obs_on) {
+    calls.inc();
+    latency.observe(elapsed_us(t0));
+  }
+}
+
+void ArrayController::read_range(std::span<const SubRead> batch) {
+  for_each_stripe(batch, &SubRead::out, "read_range", ranged_reads_,
+                  read_latency_us_,
+                  [this](std::int64_t stripe, std::span<const SubRead> ops) {
+                    read_from_stripe(stripe, ops);
+                  });
+}
+
+void ArrayController::write_range(std::span<const SubWrite> batch) {
   // Priced by the perf-smoke overhead gate: with a log attached but
   // events disabled this is the layer's whole hot-path cost.
   if (events_ && obs::events_enabled()) {
     emit_event(obs::EventLevel::kDebug,
-               "batched write: " + std::to_string(ops.size()) + " entries",
+               "batched write: " + std::to_string(batch.size()) + " entries",
                -1, "batched_write");
   }
-  std::stable_sort(ops.begin(), ops.end(),
-                   [per](const SubWrite& a, const SubWrite& b) {
-                     return a.logical / per < b.logical / per;
-                   });
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    const std::int64_t stripe = ops[i].logical / per;
-    std::size_t j = i + 1;
-    while (j < ops.size() && ops[j].logical / per == stripe) ++j;
-    std::lock_guard sl(stripe_lock(stripe));
-    write_stripe(stripe, std::span<const SubWrite>(ops.data() + i, j - i));
-    i = j;
-  }
-  if (obs_on) {
-    ranged_writes_.inc();
-    write_latency_us_.observe(elapsed_us(t0));
-  }
+  for_each_stripe(batch, &SubWrite::data, "write_range", ranged_writes_,
+                  write_latency_us_,
+                  [this](std::int64_t stripe, std::span<const SubWrite> ops) {
+                    std::lock_guard sl(stripe_lock(stripe));
+                    write_stripe(stripe, ops);
+                  });
 }
 
 void ArrayController::set_cache_stripes(std::size_t n) {

@@ -42,6 +42,11 @@
 //     retried; a disk that dies mid-batch is left to fail_disk/rebuild.
 // Parities on failed disks are skipped (rebuild regenerates them).
 //
+// Reads mirror this through read_range and one reader, read_from_stripe:
+// cache hits first, then each missed cell once over its entries' hull, or
+// one whole-block read_repaired plan if a missed cell is lost. Only cells
+// read or rebuilt whole fill the cache.
+//
 // An optional write-through stripe cache (set_cache_stripes() or
 // C56_CACHE_STRIPES, default off) caches *data* cells, keyed by data
 // index, at their current logical value: reads fill it, writes update
@@ -81,12 +86,14 @@ class ArrayController {
   /// Data-block I/O. Reads reconstruct on the fly when the block's disk
   /// is failed; writes update every affected surviving parity and, for
   /// a failed data disk, keep the block recoverable through parity.
+  /// Both throw out_of_range for a bad block and invalid_argument for a
+  /// buffer that is not one block, before any cache lookup or I/O.
   void read(std::int64_t logical, std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::span<const std::uint8_t> in);
 
   /// Ranged data-block I/O over [logical, logical + count); the buffer
-  /// holds count consecutive logical blocks. A stripe's run with a failed
-  /// cell in it is one repair plan, so each block it needs is read once.
+  /// holds count consecutive logical blocks. A degraded stripe is one
+  /// repair plan, so each block it needs is read once.
   void read(std::int64_t logical, std::int64_t count,
             std::span<std::uint8_t> out);
   void write(std::int64_t logical, std::int64_t count,
@@ -112,6 +119,15 @@ class ArrayController {
   /// entries win on overlap), so each affected parity block is read and
   /// written at most once per batch however many entries feed it.
   void write_range(std::span<const SubWrite> batch);
+
+  struct SubRead {
+    std::int64_t logical = 0;
+    std::int64_t offset = 0;
+    std::span<std::uint8_t> out;
+  };
+  /// Batched sub-block reads, validated like write_range's (one bad
+  /// entry aborts the batch before any I/O); each cell is read once.
+  void read_range(std::span<const SubRead> batch);
 
   /// Delta-plane switch (default on; the C56_SUBBLOCK environment knob
   /// sets it at construction time). Off widens every write range to the
@@ -139,7 +155,7 @@ class ArrayController {
   /// pre-read) or rmw_parities (read-modify-written); delta_parities is
   /// the part of rmw_parities updated over less than a whole block.
   /// subblock_writes counts entries shorter than a block. ranged_reads
-  /// and ranged_writes count ranged and batched calls.
+  /// and ranged_writes count batched (span and count-form) calls.
   struct PlannerCounters {
     std::uint64_t ranged_reads = 0;
     std::uint64_t ranged_writes = 0;
@@ -219,6 +235,12 @@ class ArrayController {
     std::int64_t stripe;
   };
   Locus locate(std::int64_t logical) const;
+  /// Argument checks naming `what`: blocks [logical, logical + count)
+  /// filling `len` bytes; bytes [offset, offset + len) of block logical.
+  void check_blocks(std::int64_t logical, std::int64_t count, std::size_t len,
+                    const char* what) const;
+  void check_range(std::int64_t logical, std::int64_t offset, std::size_t len,
+                   const char* what) const;
   int disk_of(int col) const { return col - virtual_cols_; }
   int col_of(int disk) const { return disk + virtual_cols_; }
   std::int64_t block_of(std::int64_t stripe, int row) const {
@@ -230,11 +252,17 @@ class ArrayController {
   std::span<const Cell> parity_inputs(int pflat) const;
   /// Parities fed by data cell index `idx` (CSR over flat arrays).
   std::span<const Cell> parities_of(int idx) const;
-  void read_cell(std::int64_t stripe, Cell c, std::span<std::uint8_t> out);
   /// Refills repair_ for the current failure set and drops the cache.
   void reset_recovery_state();
-  void read_run(std::int64_t stripe, int i0, int n,
-                std::span<std::uint8_t> out);
+  /// Body of the batched read_range/write_range: checks every entry, then
+  /// calls fn(stripe, non-empty entries in batch order) stripe by stripe.
+  template <class Sub, class Bytes, class Fn>
+  void for_each_stripe(std::span<const Sub> batch, Bytes Sub::*bytes,
+                       const char* what, obs::Counter& calls,
+                       obs::Histogram& latency, Fn&& fn);
+  /// The reader (see header comment): validated, non-empty `ops` of one
+  /// stripe; it takes the stripe lock itself, after the cache.
+  void read_from_stripe(std::int64_t stripe, std::span<const SubRead> ops);
   /// The write planner (see header comment): applies `ops` — validated,
   /// non-empty, all in `stripe`, in batch order — under the caller's
   /// stripe lock.

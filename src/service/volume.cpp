@@ -1,11 +1,8 @@
 #include "service/volume.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
-
-#include "xorblk/pool.hpp"
 
 namespace c56::svc {
 
@@ -112,27 +109,36 @@ void Volume::execute_controller(std::span<QueuedOp> ops) {
   // Every write of the slice reaches the planner in one batched call,
   // in submission order: write_range applies a stripe's entries in
   // batch order (a later write to the same bytes wins), so each parity
-  // a stripe's writes feed is updated once per slice.
+  // a stripe's writes feed is updated once per slice. The reads follow
+  // in one batched call of their own.
+  using SubRead = mig::ArrayController::SubRead;
   const std::size_t bs = block_bytes();
   std::vector<mig::ArrayController::SubWrite> subs;
-  std::vector<QueuedOp*> writes;
-  std::vector<QueuedOp*> reads;
+  std::vector<SubRead> reads;
+  std::vector<QueuedOp*> writes, readers;
   subs.reserve(ops.size());
+  reads.reserve(ops.size());
   writes.reserve(ops.size());
+  readers.reserve(ops.size());
   for (QueuedOp& op : ops) {
     const Request& r = op.req;
-    if (r.kind == OpKind::kWrite) {
+    const bool read = r.kind == OpKind::kRead || r.kind == OpKind::kReadRange;
+    (read ? readers : writes).push_back(&op);
+    if (r.kind == OpKind::kWriteRange) {
+      subs.push_back({r.logical, r.offset, r.in});
+    } else if (r.kind == OpKind::kReadRange) {
+      reads.push_back({r.logical, r.offset, r.out});
+    } else {
+      // One whole-block entry per block, a span of the request's buffer.
       for (std::int64_t b = 0; b < r.count; ++b) {
         const auto off = static_cast<std::size_t>(b) * bs;
-        subs.push_back({r.logical + b, 0, r.in.subspan(off, bs)});
+        if (read) {
+          reads.push_back({r.logical + b, 0, r.out.subspan(off, bs)});
+        } else {
+          subs.push_back({r.logical + b, 0, r.in.subspan(off, bs)});
+        }
       }
-    } else if (r.kind == OpKind::kWriteRange) {
-      subs.push_back({r.logical, r.offset, r.in});
-    } else {
-      reads.push_back(&op);
-      continue;
     }
-    writes.push_back(&op);
   }
   if (!writes.empty()) {
     // One call, one outcome: the slice's writes share its status.
@@ -144,62 +150,27 @@ void Volume::execute_controller(std::span<QueuedOp> ops) {
     }
     for (QueuedOp* op : writes) op->result = st;
   }
-  run_reads(reads);
-}
-
-void Volume::run_reads(std::span<QueuedOp*> reads) {
-  if (reads.empty()) return;
-  std::stable_sort(reads.begin(), reads.end(),
-                   [](const QueuedOp* a, const QueuedOp* b) {
-                     return a->req.logical < b->req.logical;
-                   });
-  const std::size_t bs = block_bytes();
-  std::size_t i = 0;
-  while (i < reads.size()) {
-    QueuedOp* op = reads[i];
-    if (op->req.kind == OpKind::kReadRange) {
-      try {
-        ctrl_->read_range(op->req.logical, op->req.offset, op->req.out);
-        op->result = Status::kOk;
-      } catch (const std::exception&) {
-        op->result = Status::kIoError;
-      }
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    std::int64_t end = op->req.logical + op->req.count;
-    std::int64_t total = op->req.count;
-    while (j + 1 < reads.size() && reads[j + 1]->req.kind == OpKind::kRead &&
-           reads[j + 1]->req.logical == end) {
-      ++j;
-      end += reads[j]->req.count;
-      total += reads[j]->req.count;
-    }
-    Status st = Status::kOk;
+  if (readers.empty()) return;
+  if (readers.size() > 1) coalesced_runs_.inc(readers.size());
+  const auto read_ok = [this](std::span<const SubRead> b) {
     try {
-      if (j == i) {
-        if (op->req.count == 1) {
-          ctrl_->read(op->req.logical, op->req.out);
-        } else {
-          ctrl_->read(op->req.logical, total, op->req.out);
-        }
-      } else {
-        PooledBuffer staging(static_cast<std::size_t>(total) * bs);
-        ctrl_->read(op->req.logical, total, staging.span());
-        coalesced_runs_.inc();
-        std::size_t off = 0;
-        for (std::size_t k = i; k <= j; ++k) {
-          auto out = reads[k]->req.out;
-          std::memcpy(out.data(), staging.data() + off, out.size());
-          off += out.size();
-        }
-      }
+      ctrl_->read_range(b);
+      return true;
     } catch (const std::exception&) {
-      st = Status::kIoError;
+      return false;
     }
-    for (std::size_t k = i; k <= j; ++k) reads[k]->result = st;
-    i = j + 1;
+  };
+  // Reads are idempotent: after a failed call, each request is re-run
+  // alone, so only the ones that fail on their own report kIoError.
+  const bool all_ok = read_ok(reads);
+  std::size_t first = 0;
+  for (QueuedOp* op : readers) {
+    const auto n = static_cast<std::size_t>(
+        op->req.kind == OpKind::kRead ? op->req.count : 1);
+    const bool ok = all_ok || (readers.size() > 1 &&
+                               read_ok(std::span(reads).subspan(first, n)));
+    op->result = ok ? Status::kOk : Status::kIoError;
+    first += n;
   }
 }
 

@@ -18,8 +18,9 @@
 //    entries in batch order, so same-block writes land in submission
 //    order (the SQ/CQ ordering contract). The slice's writes share one
 //    status: kIoError for all of them if the call throws;
-//  * adjacent reads then merge into one ranged read and scatter back
-//    out.
+//  * every read then goes to one batched read_range(), one SubRead per
+//    block or range, into the request's own buffer. If it throws, each
+//    read request is re-run alone and takes its own status.
 
 #include <cstdint>
 #include <chrono>
@@ -112,9 +113,8 @@ class Volume {
   std::uint64_t ops_completed() const noexcept { return ops_.value(); }
   std::uint64_t blocks_io() const noexcept { return blocks_.value(); }
   std::uint64_t io_errors() const noexcept { return errors_.value(); }
-  /// Multi-op read runs merged into one ranged controller read. Writes
-  /// are not counted: every write of a slice goes to the controller in
-  /// one call, which fuses them itself.
+  /// Read requests that shared one controller call with another read
+  /// request. Writes are not counted (a slice's writes are one call too).
   std::uint64_t coalesced_runs() const noexcept {
     return coalesced_runs_.value();
   }
@@ -127,7 +127,6 @@ class Volume {
  private:
   void execute_controller(std::span<QueuedOp> ops);
   void execute_migrator(std::span<QueuedOp> ops);
-  void run_reads(std::span<QueuedOp*> reads);
 
   VolumeId id_;
   TenantId owner_;

@@ -173,8 +173,8 @@ void VolumeManager::attach_metrics(obs::Registry& registry,
   obs::set_metric_help(prefix + "_rejected_queue",
                        "Rejections by the shard submission-queue cap");
   obs::set_metric_help(prefix + "_coalesced_runs",
-                       "Multi-op read runs merged into one ranged read "
-                       "(the controller fuses writes itself)");
+                       "Read requests handed to the controller in one "
+                       "call with at least one other read request");
   obs::set_metric_help(prefix + "_latency_us",
                        "End-to-end latency of request-traced ops per tenant");
   for (int s = 0; s < obs::kStageCount; ++s) {

@@ -353,6 +353,44 @@ TEST(BatchPlanner, RangedEdgeCases) {
   EXPECT_THROW(ctrl.read(0, -1, buf.span()), std::out_of_range);
   EXPECT_THROW(ctrl.write(-1, 1, buf.span()), std::out_of_range);
   EXPECT_THROW(ctrl.write(0, -1, buf.span()), std::out_of_range);
+
+  // The single-block read checks its block and buffer before the cache
+  // is consulted: block 0 is cached, and a short buffer must throw
+  // rather than receive the cached block.
+  ctrl.set_cache_stripes(4);
+  Buffer one(kBlock);
+  ctrl.read(0, one.span());
+  ASSERT_GT(ctrl.cache_stats().insertions, 0u);
+  const std::uint64_t r1 = array.total_reads();
+  const StripeCache::Stats c1 = ctrl.cache_stats();
+  EXPECT_THROW(ctrl.read(0, one.span().subspan(0, 16)), std::invalid_argument);
+  EXPECT_THROW(ctrl.read(0, {buf.data(), 2 * kBlock}), std::invalid_argument);
+  EXPECT_THROW(ctrl.read(-1, one.span()), std::out_of_range);
+  EXPECT_THROW(ctrl.read(logical, one.span()), std::out_of_range);
+  EXPECT_THROW(ctrl.read(max64, one.span()), std::out_of_range);
+  EXPECT_EQ(ctrl.cache_stats().hits, c1.hits);
+  EXPECT_EQ(ctrl.cache_stats().misses, c1.misses);
+
+  // Batched reads: one bad entry aborts the whole batch before any disk
+  // read or cache lookup, and zero-length entries are validated no-ops.
+  using SubRead = ArrayController::SubRead;
+  const auto bs = static_cast<std::int64_t>(kBlock);
+  Buffer a(kBlock), b(kBlock);
+  for (const SubRead bad :
+       {SubRead{logical, 0, b.span()}, SubRead{-1, 0, b.span()},
+        SubRead{1, 1, b.span()}, SubRead{1, bs + 1, b.span().subspan(0, 0)},
+        SubRead{1, -1, b.span().subspan(0, 1)},
+        SubRead{1, max64, b.span().subspan(0, 1)}}) {
+    const SubRead batch[] = {{logical / 2, 0, a.span()}, bad};
+    EXPECT_THROW(ctrl.read_range(batch), std::out_of_range);
+  }
+  const SubRead empties[] = {{0, 0, b.span().subspan(0, 0)},
+                             {logical - 1, bs, b.span().subspan(0, 0)}};
+  ctrl.read_range(empties);
+  ctrl.read_range(std::span<const SubRead>{});
+  EXPECT_EQ(array.total_reads(), r1);
+  EXPECT_EQ(ctrl.cache_stats().hits, c1.hits);
+  EXPECT_EQ(ctrl.cache_stats().misses, c1.misses);
 }
 
 // Sub-block write_range edge cases: zero-length ranges are validated

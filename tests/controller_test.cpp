@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -411,20 +412,38 @@ TEST(RebuildIoPins, EveryCodeAndFailedDisk) {
 
 /// Degraded reads on different stripes right after fail_disk share only
 /// the recovery recipes, which fail_disk has already planned: four
-/// threads, each reading its own stripes block by block, must see the
-/// mirror and (under TSan) race on nothing.
+/// threads, each reading its own stripes block by block, must see
+/// whole-block values and (under TSan) race on nothing. Two more threads
+/// issue batched read_range calls that span two stripes each (whole
+/// blocks, sub-ranges and a repeated cell), and a writer flips every
+/// block between two versions, so the per-stripe lock loop, the stripe
+/// cache's hit and fill paths and the write planner run side by side. A
+/// read must return one version or the other, never a reconstruction
+/// from a half-written stripe.
 TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
   constexpr std::int64_t kRaceStripes = 64;
   constexpr int kThreads = 4;
+  constexpr int kBatchThreads = 2;
   auto code = make_code(CodeId::kCode56, 5);
   DiskArray array(code->cols(), kRaceStripes * code->rows(), kBlock);
   ArrayController ctrl(array, std::move(code));
-  Buffer mirror(static_cast<std::size_t>(ctrl.logical_blocks()) * kBlock);
-  Rng(0x7A5).fill(mirror.data(), mirror.size());
-  ctrl.write(0, ctrl.logical_blocks(), mirror.span());
+  const auto bytes = static_cast<std::size_t>(ctrl.logical_blocks()) * kBlock;
+  Buffer va(bytes), vb(bytes);
+  Rng(0x7A5).fill(va.data(), bytes);
+  Rng(0x7A6).fill(vb.data(), bytes);
+  ctrl.write(0, ctrl.logical_blocks(), va.span());
   ctrl.fail_disk(0);
+  ctrl.set_cache_stripes(kRaceStripes / 4);
   const std::int64_t per = ctrl.logical_blocks() / kRaceStripes;
-  std::vector<int> bad(kThreads, 0);
+  // Bytes [off, off + got.size()) of block l hold one version.
+  const auto torn = [&](std::int64_t l, std::size_t off,
+                        std::span<const std::uint8_t> got) {
+    const std::size_t at = static_cast<std::size_t>(l) * kBlock + off;
+    return !std::equal(got.begin(), got.end(), va.data() + at) &&
+           !std::equal(got.begin(), got.end(), vb.data() + at);
+  };
+  std::vector<int> bad(kThreads + kBatchThreads, 0);
+  std::atomic<int> running{kThreads + kBatchThreads};
   std::vector<std::thread> readers;
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&, t] {
@@ -432,15 +451,55 @@ TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
       for (std::int64_t s = t; s < kRaceStripes; s += kThreads) {
         for (std::int64_t l = s * per; l < (s + 1) * per; ++l) {
           ctrl.read(l, got.span());
-          bad[static_cast<std::size_t>(t)] +=
-              !std::equal(got.span().begin(), got.span().end(),
-                          mirror.data() + l * kBlock);
+          bad[static_cast<std::size_t>(t)] += torn(l, 0, got.span());
         }
       }
+      --running;
     });
   }
+  for (int t = 0; t < kBatchThreads; ++t) {
+    readers.emplace_back([&, t] {
+      using SubRead = ArrayController::SubRead;
+      const std::size_t n = static_cast<std::size_t>(2 * per) + 1;
+      Buffer got(n * kBlock);
+      std::vector<SubRead> batch(n);
+      for (std::int64_t s = t; s + 1 < kRaceStripes; s += kBatchThreads) {
+        // Stripes s and s + 1 in reverse order, odd blocks as a
+        // sub-range, plus stripe s's first block once more.
+        for (std::size_t k = 0; k + 1 < n; ++k) {
+          const std::int64_t l =
+              (s + 2) * per - 1 - static_cast<std::int64_t>(k);
+          const std::size_t off = l % 2 == 0 ? 0 : 8;
+          batch[k] = {l, static_cast<std::int64_t>(off),
+                      got.span().subspan(k * kBlock + off, kBlock - 2 * off)};
+        }
+        batch[n - 1] = {s * per, 0,
+                        got.span().subspan((n - 1) * kBlock, kBlock)};
+        ctrl.read_range(batch);
+        for (const SubRead& e : batch) {
+          bad[static_cast<std::size_t>(kThreads + t)] +=
+              torn(e.logical, static_cast<std::size_t>(e.offset), e.out);
+        }
+      }
+      --running;
+    });
+  }
+  std::thread writer([&] {
+    for (int round = 1; running > 0; ++round) {
+      const Buffer& v = round % 2 == 0 ? va : vb;
+      for (std::int64_t l = 0; l < ctrl.logical_blocks(); ++l) {
+        ctrl.write(l, v.span().subspan(static_cast<std::size_t>(l) * kBlock,
+                                       kBlock));
+      }
+    }
+  });
   for (std::thread& r : readers) r.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[t], 0) << "thread " << t;
+  writer.join();
+  for (std::size_t t = 0; t < bad.size(); ++t) {
+    EXPECT_EQ(bad[t], 0) << "thread " << t;
+  }
+  EXPECT_GT(ctrl.cache_stats().hits, 0u);
+  EXPECT_GT(ctrl.cache_stats().insertions, 0u);
 }
 
 TEST(Controller, RejectsBadGeometry) {

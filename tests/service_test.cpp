@@ -13,9 +13,11 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "gf2/chain_solver.hpp"
 #include "layout/raid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
@@ -405,6 +407,151 @@ TEST(Service, FaultedSliceFailsItsWritesOnly) {
     EXPECT_EQ(got, mirror[static_cast<std::size_t>(l)]) << "block " << l;
   }
   EXPECT_TRUE(vol->controller()->scrub().empty());
+}
+
+// A slice's reads share one controller call, but not one fate: with a
+// latent sector error under logical block 1 (Code 5-6, p = 5: cell
+// (0, 1), disk 1 block 0), reads of blocks 0 and 1 in one slice fail
+// only the read of block 1. Block 0 reads back its data.
+TEST(Service, FaultedReadFailsOnlyItsOwnRequest) {
+  const std::size_t bs = 1024;
+  svc::VolumeManager mgr(manual_config(1, 4096));
+  const svc::VolumeId id = mgr.create_volume(small_volume(bs, 4));
+  svc::Volume* vol = mgr.volume(id);
+  const auto data = pattern(2 * bs, 0x9001);
+  vol->controller()->write(0, 2, {data.data(), data.size()});
+  mig::FaultPlan plan;
+  plan.bad_blocks.push_back({1, 0});
+  vol->array().set_fault_plan(plan);
+
+  std::vector<std::vector<std::uint8_t>> got(2, std::vector<std::uint8_t>(bs));
+  std::vector<Status> status(2, Status::kShutdown);
+  for (std::int64_t l = 0; l < 2; ++l) {
+    Request r;
+    r.kind = OpKind::kRead;
+    r.volume = id;
+    r.logical = l;
+    r.out = {got[static_cast<std::size_t>(l)].data(), bs};
+    r.on_complete = [&status, l](const svc::Completion& c) {
+      status[static_cast<std::size_t>(l)] = c.status;
+    };
+    ASSERT_EQ(mgr.submit(r), Status::kOk);
+  }
+  mgr.drain();
+  EXPECT_EQ(status[0], Status::kOk);
+  EXPECT_EQ(status[1], Status::kIoError);
+  EXPECT_TRUE(std::equal(got[0].begin(), got[0].end(), data.begin()));
+  EXPECT_EQ(vol->io_errors(), 1u);
+}
+
+// Device traffic of one slice of reads, cache off: Code 5-6, p = 5,
+// 1 KiB blocks. Blocks 5 and 11 are cells (1, 3) and (3, 3) of stripe 0
+// (disk 3), block 12 is cell (0, 0) of stripe 1 (disk 0). The slice
+// reads block 5 twice whole and once over [100, 164), and blocks 11-12
+// as one request.
+struct ReadSliceIo {
+  std::uint64_t reads, bytes, runs, coalesced;
+};
+
+ReadSliceIo run_read_slice(int failed_disk) {
+  const std::size_t bs = 1024;
+  svc::VolumeManager mgr(manual_config(1, 4096));
+  const svc::VolumeId id = mgr.create_volume(small_volume(bs, 4));
+  svc::Volume* vol = mgr.volume(id);
+  const auto mirror = pattern(
+      static_cast<std::size_t>(vol->logical_blocks()) * bs, 0x9002);
+  vol->controller()->write(0, vol->logical_blocks(),
+                           {mirror.data(), mirror.size()});
+  if (failed_disk >= 0) vol->controller()->fail_disk(failed_disk);
+
+  struct Want {
+    std::int64_t logical, offset;
+    std::size_t len;
+    OpKind kind;
+  };
+  const Want wants[] = {{5, 0, bs, OpKind::kRead},
+                        {5, 0, bs, OpKind::kRead},
+                        {5, 100, 64, OpKind::kReadRange},
+                        {11, 0, 2 * bs, OpKind::kRead}};
+  std::vector<std::vector<std::uint8_t>> got;
+  std::vector<Status> status(std::size(wants), Status::kShutdown);
+  for (const Want& w : wants) got.emplace_back(w.len);
+  const mig::DiskArray& a = vol->array();
+  const std::uint64_t r0 = a.total_reads(), b0 = a.total_read_bytes(),
+                      n0 = a.total_read_runs(), c0 = vol->coalesced_runs();
+  for (std::size_t k = 0; k < std::size(wants); ++k) {
+    Request r;
+    r.kind = wants[k].kind;
+    r.volume = id;
+    r.logical = wants[k].logical;
+    r.offset = wants[k].offset;
+    r.count = static_cast<std::int64_t>(wants[k].len / bs);
+    r.out = {got[k].data(), got[k].size()};
+    r.on_complete = [&status, k](const svc::Completion& c) {
+      status[k] = c.status;
+    };
+    EXPECT_EQ(mgr.submit(r), Status::kOk);
+  }
+  mgr.drain();
+  for (std::size_t k = 0; k < std::size(wants); ++k) {
+    EXPECT_EQ(status[k], Status::kOk) << "request " << k;
+    const auto from =
+        static_cast<std::size_t>(wants[k].logical) * bs +
+        static_cast<std::size_t>(wants[k].offset);
+    EXPECT_TRUE(std::equal(got[k].begin(), got[k].end(),
+                           mirror.begin() + static_cast<std::ptrdiff_t>(from)))
+        << "request " << k;
+  }
+  return {a.total_reads() - r0, a.total_read_bytes() - b0,
+          a.total_read_runs() - n0, vol->coalesced_runs() - c0};
+}
+
+// Healthy: one read call reads block 5 once over the hull of its three
+// requests' ranges, and blocks 11 and 12 once each.
+TEST(Service, BatchedReadsReadEachCellOnce) {
+  const ReadSliceIo io = run_read_slice(-1);
+  EXPECT_EQ(io.reads, 3u);
+  EXPECT_EQ(io.bytes, 3u * 1024);
+  EXPECT_EQ(io.runs, 3u);
+  EXPECT_EQ(io.coalesced, 4u);  // all four requests shared the call
+}
+
+// Disk 3 failed: blocks 5 and 11 are both lost cells of stripe 0, so
+// stripe 0 is one repair plan, reading the union of the two recipes'
+// sources once; block 12 is one plain read.
+TEST(Service, BatchedDegradedReadsShareOnePlan) {
+  const ReadSliceIo io = run_read_slice(3);
+  auto code = make_code(CodeId::kCode56, 5);
+  const int failed_col = 3;
+  const std::vector<int> lost =
+      code->erased_cells_of_columns(std::span(&failed_col, 1));
+  std::vector<int> want;
+  for (const int target : {1 * code->cols() + 3, 3 * code->cols() + 3}) {
+    const auto plan = plan_repair(code->cell_count(), code->chain_specs(),
+                                  lost, std::span(&target, 1));
+    ASSERT_TRUE(plan.has_value());
+    want.insert(want.end(), plan->reads.begin(), plan->reads.end());
+  }
+  std::ranges::sort(want);
+  want.erase(std::ranges::unique(want).begin(), want.end());
+  // A run is a stretch of consecutive rows of one column.
+  std::vector<std::pair<int, int>> cells;  // (column, row)
+  for (const int f : want) {
+    cells.emplace_back(f % code->cols(), f / code->cols());
+  }
+  std::ranges::sort(cells);
+  std::uint64_t runs = 0;
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    runs += k == 0 || cells[k].first != cells[k - 1].first ||
+            cells[k].second != cells[k - 1].second + 1;
+  }
+  EXPECT_EQ(io.reads, want.size() + 1);
+  EXPECT_EQ(io.bytes, (want.size() + 1) * 1024);
+  EXPECT_EQ(io.runs, runs + 1);
+  EXPECT_EQ(io.reads, 7u);
+  EXPECT_EQ(io.bytes, 7u * 1024);
+  EXPECT_EQ(io.runs, 7u);
+  EXPECT_EQ(io.coalesced, 4u);
 }
 
 // DRR: a tenant flooding the shard cannot starve a trickling tenant —

@@ -463,7 +463,7 @@ int cmd_serve_bench(int argc, char** argv) {
                 static_cast<unsigned long long>(st.errors));
     std::printf("  in-memory  %.3f s wall, %.1f MB/s\n", st.wall_s, st.mbps);
     std::printf(
-        "  device     %llu runs, %llu merged read runs, %.1f MB moved, "
+        "  device     %llu runs, %llu batched read requests, %.1f MB moved, "
         "%.3f MB/s (device model)\n",
         static_cast<unsigned long long>(st.device_runs),
         static_cast<unsigned long long>(coalesced_runs),
