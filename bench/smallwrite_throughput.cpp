@@ -1,6 +1,6 @@
 // Benchmark of the controller's sub-block delta plane: page-sized
 // writes into larger blocks, per-page and batched per stripe, against
-// the whole-block read-modify-write baseline (C56_SUBBLOCK=0 routing).
+// the whole-block read-modify-write baseline (set_subblock_delta(false)).
 // Results print as a table and land in BENCH_smallwrite.json.
 //
 // Two throughputs per workload, as in controller_throughput: in-memory

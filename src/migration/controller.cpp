@@ -143,9 +143,6 @@ ArrayController::ArrayController(DiskArray& array,
   if (const auto v = util::env_int("C56_CACHE_STRIPES", 0, 1 << 22)) {
     if (*v > 0) set_cache_stripes(static_cast<std::size_t>(*v));
   }
-  if (const auto v = util::env_int("C56_SUBBLOCK", 0, 1)) {
-    subblock_delta_ = *v != 0;
-  }
 }
 
 std::int64_t ArrayController::logical_blocks() const {
@@ -801,6 +798,7 @@ void ArrayController::fail_disk(int disk) {
   if (disk < 0 || disk >= array_.disks()) {
     throw std::out_of_range("fail_disk: no such disk");
   }
+  const auto locks = lock_all_stripes();
   if (failed_.count(disk)) return;
   if (failed_count() >= 2) {
     throw std::runtime_error("fail_disk: fault tolerance exceeded");
@@ -819,6 +817,7 @@ bool ArrayController::failed(int disk) const {
 }
 
 std::int64_t ArrayController::rebuild_disk(int disk) {
+  const auto locks = lock_all_stripes();
   if (!failed_.count(disk)) {
     throw std::invalid_argument("rebuild_disk: disk is not failed");
   }
@@ -831,7 +830,6 @@ std::int64_t ArrayController::rebuild_disk(int disk) {
       plan_repair(code_->cell_count(), code_->chain_specs(), lost, targets);
   if (!plan) throw std::runtime_error("failure pattern is not decodable");
   for (std::int64_t s = 0; s < stripes_; ++s) {
-    std::lock_guard sl(stripe_lock(s));
     const IoResult r = rebuild_stripes(array_, *code_, virtual_cols_, *plan,
                                        s, 1, RetryPolicy{}, nullptr);
     if (!r.ok()) throw_io("rebuild failed", r);

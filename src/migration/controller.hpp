@@ -129,9 +129,9 @@ class ArrayController {
   /// entry aborts the batch before any I/O); each cell is read once.
   void read_range(std::span<const SubRead> batch);
 
-  /// Delta-plane switch (default on; the C56_SUBBLOCK environment knob
-  /// sets it at construction time). Off widens every write range to the
-  /// whole block: the whole-block read-modify-write baseline.
+  /// Delta-plane switch (default on). Off widens every write range to
+  /// the whole block: the whole-block read-modify-write baseline that
+  /// the differential tests and benchmarks compare against.
   void set_subblock_delta(bool on) { subblock_delta_ = on; }
   bool subblock_delta() const { return subblock_delta_; }
 
@@ -189,7 +189,10 @@ class ArrayController {
   void detach_events() { events_ = nullptr; }
 
   /// Failure management. At most two concurrent failures (the code's
-  /// fault tolerance); fail_disk throws beyond that.
+  /// fault tolerance); fail_disk throws beyond that. Safe under live
+  /// I/O: fail_disk and rebuild_disk hold every stripe lock across the
+  /// change. failed() and failed_count() take no lock; call them from
+  /// the failing thread or under with_stripe_lock.
   void fail_disk(int disk);
   bool failed(int disk) const;
   int failed_count() const { return static_cast<int>(failed_.size()); }
@@ -198,8 +201,9 @@ class ArrayController {
   /// failed disk's cells erased, this disk's cells the targets) picks
   /// the chains that keep each stripe's surviving reads fewest: 9 per
   /// stripe for a Code 5-6 data disk at p = 5, not 12. rebuild_stripes
-  /// runs it stripe by stripe under the stripe lock; throws if an I/O
-  /// fails after its retries.
+  /// runs it stripe by stripe; throws if an I/O fails after its retries.
+  /// I/O waits for the whole rebuild: a write to a rebuilt stripe while
+  /// the disk is still marked failed would skip its cell.
   std::int64_t rebuild_disk(int disk);
 
   /// Verify every stripe; returns the indices of inconsistent stripes.
@@ -303,14 +307,26 @@ class ArrayController {
   }
 
   /// Stripe-level writer/scrub exclusion, striped over a fixed pool of
-  /// mutexes (two stripes may alias one mutex; callers only ever hold
-  /// one stripe lock at a time, so aliasing cannot deadlock). Leaf-ish:
-  /// only DiskArray's internal fault_mu_ ever nests inside it.
+  /// mutexes (two stripes may alias one mutex). I/O paths hold one
+  /// stripe lock at a time; fail_disk and rebuild_disk hold all of them,
+  /// taken in index order, so aliasing cannot deadlock. Only the stripe
+  /// cache's, the event log's and DiskArray's internal mutexes nest
+  /// inside. 32, not more: a thread holding all of them plus those must
+  /// stay under ThreadSanitizer's limit of 64 locks held at once.
   std::mutex& stripe_lock(std::int64_t s) const {
     return stripe_locks_[static_cast<std::size_t>(s) % kStripeLockStripes];
   }
-  static constexpr std::size_t kStripeLockStripes = 64;
+  static constexpr std::size_t kStripeLockStripes = 32;
   mutable std::array<std::mutex, kStripeLockStripes> stripe_locks_;
+  /// Every stripe lock, in index order: held across any change to
+  /// failed_ and repair_, which I/O paths read under one stripe lock.
+  auto lock_all_stripes() const {
+    std::array<std::unique_lock<std::mutex>, kStripeLockStripes> all;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i] = std::unique_lock(stripe_locks_[i]);
+    }
+    return all;
+  }
 
   DiskArray& array_;
   std::unique_ptr<ErasureCode> code_;
@@ -332,8 +348,8 @@ class ArrayController {
   std::set<int> failed_;                // failed disk ids
   // Flat cell -> the recipe that reconstructs it under failed_ (target
   // -1 for a surviving cell): its single-target plan_repair recipe, the
-  // chain-choice rule rebuild uses. Filled whenever failed_ changes, so
-  // readers under different stripe locks only ever read it.
+  // chain-choice rule rebuild uses. Both change only under
+  // lock_all_stripes(), so any one stripe lock is enough to read them.
   std::vector<RecoveryRecipe> repair_;
 
   std::unique_ptr<StripeCache> cache_;  // null when disabled

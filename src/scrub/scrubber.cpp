@@ -185,16 +185,17 @@ PassReport Scrubber::run_pass() {
     pace(pacer);
     const std::int64_t base = s * code_.rows();
     if (ctrl_ != nullptr) {
-      if (ctrl_->failed_count() > 0) {
+      const std::int64_t repaired_before = rep.repaired;
+      ctrl_->with_stripe_lock(s, [&] {
         // Raw stripe reads would see a dead disk's stale bytes and
         // every chain through it would fail; wait for the rebuild.
-        ++rep.deferred;
-        deferred_.inc();
-        continue;
-      }
-      const std::int64_t repaired_before = rep.repaired;
-      ctrl_->with_stripe_lock(
-          s, [&] { scan_locked(s, base, locator_.all_chains(), rep); });
+        if (ctrl_->failed_count() > 0) {
+          ++rep.deferred;
+          deferred_.inc();
+          return;
+        }
+        scan_locked(s, base, locator_.all_chains(), rep);
+      });
       // A repair bypassed the controller's write path; drop the cache
       // rather than reason about which cells it might still mirror.
       if (rep.repaired != repaired_before) ctrl_->invalidate_cache();

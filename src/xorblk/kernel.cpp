@@ -12,6 +12,8 @@ const char* to_string(XorIsa isa) noexcept {
   switch (isa) {
     case XorIsa::kScalar:
       return "scalar";
+    case XorIsa::kSse2:
+      return "sse2";
     case XorIsa::kAvx2:
       return "avx2";
     case XorIsa::kAvx512:
@@ -166,15 +168,24 @@ struct Registry {
   const XorKernel* active = nullptr;
 };
 
+bool cpu_runs([[maybe_unused]] XorIsa isa) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (isa == XorIsa::kAvx2) return __builtin_cpu_supports("avx2");
+  if (isa == XorIsa::kAvx512) return __builtin_cpu_supports("avx512f");
+#endif
+  return true;  // scalar and the baseline 16-byte ISAs
+}
+
 Registry build_registry() {
   Registry r;
   r.kernels[r.count++] = kScalarKernel;
-  if (const XorKernel* k = neon_kernel_if_built()) r.kernels[r.count++] = *k;
-  if (const XorKernel* k = avx2_kernel_if_built()) r.kernels[r.count++] = *k;
-  if (const XorKernel* k = avx512_kernel_if_built()) r.kernels[r.count++] = *k;
+  for (const XorKernel& k : built_vector_kernels()) {
+    if (cpu_runs(k.isa)) r.kernels[r.count++] = k;
+  }
 
-  // Default pick: the last (widest) entry; the order above guarantees
-  // avx512 > avx2 > neon > scalar.
+  // Default pick: the last (widest) entry; built_vector_kernels() lists
+  // narrowest first, so avx512 > avx2 > sse2 > scalar.
   r.active = &r.kernels[r.count - 1];
 
   if (const char* want = std::getenv("C56_XOR_KERNEL")) {

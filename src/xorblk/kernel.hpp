@@ -1,17 +1,19 @@
 #pragma once
 // Kernel registry behind the xor.hpp entry points. Each XorKernel is a
-// complete, self-contained implementation of the five block primitives
-// for one ISA. The registry is built once at first use: compile-time
-// architecture gating decides which variants exist in the binary
-// (CMake probes the intrinsics; -DC56_DISABLE_SIMD=ON compiles them
-// out), and a runtime CPUID probe decides which of those the machine
-// can actually execute. Dispatch rules, in order:
+// complete implementation of the five block primitives for one ISA. The
+// scalar kernel lives in kernel.cpp; every vector kernel is one body in
+// GCC/Clang vector extensions (kernel_vec.cpp) instantiated per width:
+// 16 bytes for the default target (sse2 on x86-64, neon on AArch64),
+// 32 and 64 bytes under target("avx2") / target("avx512f") on x86-64.
+// The registry is built once at first use. Dispatch rules, in order:
 //
 //   1. C56_DISABLE_SIMD build flag        -> scalar only, nothing else
 //      exists in the binary.
 //   2. C56_XOR_KERNEL=<name> environment  -> that variant, if present
-//      and runnable; unknown or unsupported names fall back to rule 3.
-//   3. Widest runnable vector ISA (avx512 > avx2 > neon), else scalar.
+//      and runnable; unknown or unsupported names fall back to rule 3
+//      with a one-time warning.
+//   3. Widest runnable variant (avx512 > avx2 > sse2; neon on AArch64),
+//      where __builtin_cpu_supports decides what the CPU can run.
 //
 // The scalar kernel is always present and is the differential-testing
 // reference for every vector variant (tests/xor_kernel_test.cpp).
@@ -22,7 +24,9 @@
 
 namespace c56 {
 
-enum class XorIsa : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
+// Values are stable (parameterized test names print them): new ISAs
+// append.
+enum class XorIsa : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon, kSse2 };
 
 const char* to_string(XorIsa isa) noexcept;
 
@@ -52,10 +56,9 @@ std::span<const XorKernel> available_kernels() noexcept;
 /// The kernel the xor.hpp entry points dispatch to (rules above).
 const XorKernel& active_kernel() noexcept;
 
-// Vector variants, defined when the build carries them (internal; the
-// registry wires them up). Null function pointers mean "not compiled".
-const XorKernel* avx2_kernel_if_built() noexcept;
-const XorKernel* avx512_kernel_if_built() noexcept;
-const XorKernel* neon_kernel_if_built() noexcept;
+/// Every vector kernel compiled into this binary, narrowest first, whether
+/// or not the CPU can run it (internal; the registry filters and wires
+/// them up). Empty under C56_DISABLE_SIMD.
+std::span<const XorKernel> built_vector_kernels() noexcept;
 
 }  // namespace c56

@@ -1,10 +1,10 @@
 #pragma once
 // XOR kernels over byte blocks. Every parity computation in the library
-// reduces to these four primitives. Blocks are arbitrary byte ranges;
-// the entry points dispatch at process start to the widest vector ISA
-// the running CPU supports (AVX-512 / AVX2 / NEON, see kernel.hpp) and
-// fall back to a 64-bit-lane scalar loop — which is also the reference
-// implementation every vector variant is differentially tested against.
+// reduces to these five primitives. Blocks are arbitrary byte ranges;
+// the entry points dispatch at process start to the widest vector width
+// the running CPU supports (AVX-512 / AVX2 / SSE2 on x86-64, NEON on
+// AArch64, see kernel.hpp). The 64-bit-lane scalar loop is the
+// reference every vector variant is differentially tested against.
 
 #include <cstddef>
 #include <cstdint>

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -410,31 +411,34 @@ TEST(RebuildIoPins, EveryCodeAndFailedDisk) {
   EXPECT_EQ(checked, std::size(kRebuildPins));
 }
 
-/// Degraded reads on different stripes right after fail_disk share only
-/// the recovery recipes, which fail_disk has already planned: four
-/// threads, each reading its own stripes block by block, must see
-/// whole-block values and (under TSan) race on nothing. Two more threads
-/// issue batched read_range calls that span two stripes each (whole
-/// blocks, sub-ranges and a repeated cell), and a writer flips every
-/// block between two versions, so the per-stripe lock loop, the stripe
-/// cache's hit and fill paths and the write planner run side by side. A
-/// read must return one version or the other, never a reconstruction
-/// from a half-written stripe.
+/// fail_disk and then rebuild_disk run while I/O is in flight: four
+/// threads read their own stripes block by block, two more issue batched
+/// read_range calls that span two stripes each (whole blocks, sub-ranges
+/// and a repeated cell), and a writer flips every block between two
+/// versions, so the per-stripe lock loop, the stripe cache's hit and fill
+/// paths, the write planner and both failure-set changes run side by
+/// side. A read must return one version or the other, never a
+/// reconstruction from a half-written stripe or a half-changed failure
+/// set (under TSan: no race on the failure set or the recovery recipes).
+/// After the rebuild every block holds the version last written to it and
+/// every stripe verifies: a write that skipped the failed disk's cell on
+/// an already-rebuilt stripe would leave the disk stale.
 TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
   constexpr std::int64_t kRaceStripes = 64;
   constexpr int kThreads = 4;
   constexpr int kBatchThreads = 2;
+  constexpr int kFailedDisk = 0;
   auto code = make_code(CodeId::kCode56, 5);
   DiskArray array(code->cols(), kRaceStripes * code->rows(), kBlock);
   ArrayController ctrl(array, std::move(code));
-  const auto bytes = static_cast<std::size_t>(ctrl.logical_blocks()) * kBlock;
+  const std::int64_t blocks = ctrl.logical_blocks();
+  const auto bytes = static_cast<std::size_t>(blocks) * kBlock;
   Buffer va(bytes), vb(bytes);
   Rng(0x7A5).fill(va.data(), bytes);
   Rng(0x7A6).fill(vb.data(), bytes);
-  ctrl.write(0, ctrl.logical_blocks(), va.span());
-  ctrl.fail_disk(0);
+  ctrl.write(0, blocks, va.span());
   ctrl.set_cache_stripes(kRaceStripes / 4);
-  const std::int64_t per = ctrl.logical_blocks() / kRaceStripes;
+  const std::int64_t per = blocks / kRaceStripes;
   // Bytes [off, off + got.size()) of block l hold one version.
   const auto torn = [&](std::int64_t l, std::size_t off,
                         std::span<const std::uint8_t> got) {
@@ -442,19 +446,33 @@ TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
     return !std::equal(got.begin(), got.end(), va.data() + at) &&
            !std::equal(got.begin(), got.end(), vb.data() + at);
   };
-  std::vector<int> bad(kThreads + kBatchThreads, 0);
-  std::atomic<int> running{kThreads + kBatchThreads};
+  constexpr int kReaders = kThreads + kBatchThreads;
+  std::vector<int> bad(kReaders, 0);
+  std::vector<std::atomic<int>> passes(kReaders);
+  std::atomic<bool> stop{false};
+  // Waits until every reader has finished one more whole pass.
+  const auto settle = [&] {
+    std::vector<int> target(kReaders);
+    for (int t = 0; t < kReaders; ++t) target[t] = passes[t].load() + 1;
+    for (int t = 0; t < kReaders; ++t) {
+      while (passes[t].load() < target[t]) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  };
   std::vector<std::thread> readers;
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&, t] {
       Buffer got(kBlock);
-      for (std::int64_t s = t; s < kRaceStripes; s += kThreads) {
-        for (std::int64_t l = s * per; l < (s + 1) * per; ++l) {
-          ctrl.read(l, got.span());
-          bad[static_cast<std::size_t>(t)] += torn(l, 0, got.span());
+      while (!stop) {
+        for (std::int64_t s = t; s < kRaceStripes; s += kThreads) {
+          for (std::int64_t l = s * per; l < (s + 1) * per; ++l) {
+            ctrl.read(l, got.span());
+            bad[static_cast<std::size_t>(t)] += torn(l, 0, got.span());
+          }
         }
+        ++passes[t];
       }
-      --running;
     });
   }
   for (int t = 0; t < kBatchThreads; ++t) {
@@ -463,36 +481,47 @@ TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
       const std::size_t n = static_cast<std::size_t>(2 * per) + 1;
       Buffer got(n * kBlock);
       std::vector<SubRead> batch(n);
-      for (std::int64_t s = t; s + 1 < kRaceStripes; s += kBatchThreads) {
-        // Stripes s and s + 1 in reverse order, odd blocks as a
-        // sub-range, plus stripe s's first block once more.
-        for (std::size_t k = 0; k + 1 < n; ++k) {
-          const std::int64_t l =
-              (s + 2) * per - 1 - static_cast<std::int64_t>(k);
-          const std::size_t off = l % 2 == 0 ? 0 : 8;
-          batch[k] = {l, static_cast<std::int64_t>(off),
-                      got.span().subspan(k * kBlock + off, kBlock - 2 * off)};
+      while (!stop) {
+        for (std::int64_t s = t; s + 1 < kRaceStripes; s += kBatchThreads) {
+          // Stripes s and s + 1 in reverse order, odd blocks as a
+          // sub-range, plus stripe s's first block once more.
+          for (std::size_t k = 0; k + 1 < n; ++k) {
+            const std::int64_t l =
+                (s + 2) * per - 1 - static_cast<std::int64_t>(k);
+            const std::size_t off = l % 2 == 0 ? 0 : 8;
+            batch[k] = {l, static_cast<std::int64_t>(off),
+                        got.span().subspan(k * kBlock + off,
+                                           kBlock - 2 * off)};
+          }
+          batch[n - 1] = {s * per, 0,
+                          got.span().subspan((n - 1) * kBlock, kBlock)};
+          ctrl.read_range(batch);
+          for (const SubRead& e : batch) {
+            bad[static_cast<std::size_t>(kThreads + t)] +=
+                torn(e.logical, static_cast<std::size_t>(e.offset), e.out);
+          }
         }
-        batch[n - 1] = {s * per, 0,
-                        got.span().subspan((n - 1) * kBlock, kBlock)};
-        ctrl.read_range(batch);
-        for (const SubRead& e : batch) {
-          bad[static_cast<std::size_t>(kThreads + t)] +=
-              torn(e.logical, static_cast<std::size_t>(e.offset), e.out);
-        }
+        ++passes[kThreads + t];
       }
-      --running;
     });
   }
+  // Only the writer touches last; the join publishes it.
+  std::vector<const Buffer*> last(static_cast<std::size_t>(blocks), &va);
   std::thread writer([&] {
-    for (int round = 1; running > 0; ++round) {
+    for (int round = 1; !stop; ++round) {
       const Buffer& v = round % 2 == 0 ? va : vb;
-      for (std::int64_t l = 0; l < ctrl.logical_blocks(); ++l) {
+      for (std::int64_t l = 0; l < blocks && !stop; ++l) {
         ctrl.write(l, v.span().subspan(static_cast<std::size_t>(l) * kBlock,
                                        kBlock));
+        last[static_cast<std::size_t>(l)] = &v;
       }
     }
   });
+  settle();
+  ctrl.fail_disk(kFailedDisk);
+  settle();
+  ctrl.rebuild_disk(kFailedDisk);
+  stop = true;
   for (std::thread& r : readers) r.join();
   writer.join();
   for (std::size_t t = 0; t < bad.size(); ++t) {
@@ -500,6 +529,19 @@ TEST(ControllerDegraded, ConcurrentReadsAfterFailDiskAreRaceFree) {
   }
   EXPECT_GT(ctrl.cache_stats().hits, 0u);
   EXPECT_GT(ctrl.cache_stats().insertions, 0u);
+  EXPECT_EQ(ctrl.failed_count(), 0);
+  ctrl.set_cache_stripes(0);
+  Buffer got(kBlock);
+  int stale = 0;
+  for (std::int64_t l = 0; l < blocks; ++l) {
+    ctrl.read(l, got.span());
+    const std::uint8_t* want =
+        last[static_cast<std::size_t>(l)]->data() +
+        static_cast<std::size_t>(l) * kBlock;
+    stale += !std::equal(got.data(), got.data() + kBlock, want);
+  }
+  EXPECT_EQ(stale, 0);
+  EXPECT_TRUE(ctrl.scrub().empty());
 }
 
 TEST(Controller, RejectsBadGeometry) {

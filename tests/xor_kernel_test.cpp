@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -248,6 +249,31 @@ TEST(XorKernelRegistry, ScalarIsAlwaysFirstAndComplete) {
     EXPECT_NE(k.xor_delta, nullptr) << k.name;
     EXPECT_NE(k.xor_accumulate, nullptr) << k.name;
     EXPECT_NE(k.all_zero, nullptr) << k.name;
+  }
+}
+
+// No build-time probe reports which variants a binary carries, so pin
+// the list: a build that silently lost a width would otherwise only show
+// up as a slower benchmark.
+TEST(XorKernelRegistry, EveryRunnableIsaIsRegistered) {
+  std::vector<std::string> want = {"scalar"};
+#if !defined(C56_DISABLE_SIMD) && defined(__x86_64__)
+  want.push_back("sse2");
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) want.push_back("avx2");
+  if (__builtin_cpu_supports("avx512f")) want.push_back("avx512");
+#elif !defined(C56_DISABLE_SIMD) && defined(__aarch64__)
+  want.push_back("neon");
+#endif
+  std::vector<std::string> got;
+  for (const XorKernel& k : available_kernels()) {
+    got.push_back(k.name);
+    EXPECT_EQ(to_string(k.isa), got.back());
+  }
+  EXPECT_EQ(got, want);
+  // The widest runnable variant is the default.
+  if (std::getenv("C56_XOR_KERNEL") == nullptr) {
+    EXPECT_EQ(active_kernel().name, want.back());
   }
 }
 
