@@ -6,9 +6,11 @@
 // they touch disjoint disks except on writes.
 //
 // Usage: online_overhead [p] [groups]. Exits 1 if any run fails
-// verify_raid6(), or if the run without writers leaves the per-group
-// closed forms: per data block, reads 1, writes 1/(p-2), read runs
-// 2/(p-1) and write runs 1/((p-1)(p-2)).
+// verify_raid6(), or if a run without writers leaves the per-group
+// closed forms: per data block, reads 1, writes 1/(p-2), and read runs
+// 2/(p-1) and write runs 1/((p-1)(p-2)) on a healthy array. The same
+// run with source disk 0 failed before start() reads each surviving
+// column as one run: read runs 1/(p-1), the rest unchanged.
 
 #include <chrono>
 #include <cstdio>
@@ -52,11 +54,13 @@ struct Result {
   bool verified;
 };
 
-Result run(int p, std::int64_t groups, int writer_threads) {
+Result run(int p, std::int64_t groups, int writer_threads,
+           bool disk0_failed) {
   const int m = p - 1;
   c56::mig::DiskArray array(m, groups * (p - 1), kBlock);
   fill_raid5(array, m);
   c56::mig::OnlineMigrator mig(array, p);
+  if (disk0_failed) array.fail_disk(0);
   std::atomic<std::uint64_t> ops{0};
   std::atomic<bool> stop{false};
 
@@ -117,25 +121,30 @@ int main(int argc, char** argv) {
         static_cast<double>(n) / static_cast<double>(data_blocks), 4);
   };
   bool ok = true;
-  for (int writers : {0, 1, 2, 4}) {
-    const Result r = run(p, groups, writers);
-    t.add_row({std::to_string(writers),
+  // {writer threads, source disk 0 failed}
+  for (const auto& [writers, failed] :
+       {std::pair{0, false}, {1, false}, {2, false}, {4, false}, {0, true}}) {
+    const Result r = run(p, groups, writers, failed);
+    t.add_row({std::to_string(writers) + (failed ? " (disk 0 failed)" : ""),
                c56::TextTable::fmt(r.conversion_ms, 1),
                std::to_string(r.app_ops), std::to_string(r.preemptions),
                per_blk(r.reads), per_blk(r.read_runs), per_blk(r.writes),
                per_blk(r.write_runs), r.verified ? "yes" : "NO"});
     ok = ok && r.verified;
     if (writers == 0) {
+      // A failed column is erased: one run per surviving column.
+      const std::uint64_t runs_per_col = failed ? 1 : 2;
       const auto q = static_cast<std::uint64_t>(p);
-      const bool closed = r.reads == data_blocks &&
-                          r.writes * (q - 2) == data_blocks &&
-                          r.read_runs * (q - 1) == 2 * data_blocks &&
-                          r.write_runs * (q - 1) * (q - 2) == data_blocks;
+      const bool closed =
+          r.reads == data_blocks && r.writes * (q - 2) == data_blocks &&
+          r.read_runs * (q - 1) == runs_per_col * data_blocks &&
+          r.write_runs * (q - 1) * (q - 2) == data_blocks;
       if (!closed) {
         std::fprintf(stderr,
-                     "FAIL: conversion I/O off the closed forms: %llu reads, "
-                     "%llu read runs, %llu writes, %llu write runs for %llu "
-                     "data blocks\n",
+                     "FAIL: conversion I/O%s off the closed forms: %llu "
+                     "reads, %llu read runs, %llu writes, %llu write runs "
+                     "for %llu data blocks\n",
+                     failed ? " with disk 0 failed" : "",
                      static_cast<unsigned long long>(r.reads),
                      static_cast<unsigned long long>(r.read_runs),
                      static_cast<unsigned long long>(r.writes),
@@ -151,8 +160,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nEvery run must end with a byte-consistent RAID-6 regardless of "
       "write pressure\n(Algorithm 2's interrupt/resume protocol). Without "
-      "writers, per data block: reads 1,\nwrites 1/(p-2), read runs 2/(p-1), "
-      "write runs 1/((p-1)(p-2)).\n");
+      "writers, per data block: reads 1,\nwrites 1/(p-2), read runs 2/(p-1) "
+      "(1/(p-1) with disk 0 failed), write runs\n1/((p-1)(p-2)).\n");
   if (!ok) std::fprintf(stderr, "online_overhead: gate FAILED\n");
   return ok ? 0 : 1;
 }

@@ -495,8 +495,8 @@ void ArrayController::write_stripe(std::int64_t stripe,
   if (full) {
     StripeView v(pbuf.span(), code_->rows(), cols, bs);
     for (const Touch& t : touch) {
-      std::memcpy(v.block(data_cells_[static_cast<std::size_t>(t.idx)]).data(),
-                  t.img, bs);
+      const auto dst = v.block(data_cells_[static_cast<std::size_t>(t.idx)]);
+      std::memcpy(dst.data(), t.img, dst.size());
     }
     code_->encode(v);
     for (Par& p : par) p.img = v.block(cell_of_index(p.flat, cols)).data();

@@ -58,7 +58,11 @@ std::string ConversionSpec::label() const {
   std::string s = to_string(approach);
   s += "(";
   s += to_string(code);
-  s += "," + std::to_string(m) + "," + std::to_string(n()) + ")";
+  s += ',';
+  s += std::to_string(m);
+  s += ',';
+  s += std::to_string(n());
+  s += ')';
   if (load_balanced) s += "[LB]";
   return s;
 }

@@ -214,18 +214,32 @@ void OnlineMigrator::resume() {
   // Re-verify before trusting the watermark: the last fully generated
   // group must match a recomputation (a torn new-disk write shows up
   // here), and so must the partial rows of the current group. Rewind to
-  // the first stale position; regeneration is idempotent.
+  // the first stale position (row 0 if a read fails for good, such as
+  // an unreadable stored row); regeneration is idempotent.
+  const std::size_t bs = array_.block_bytes();
+  const auto verified = [&](std::int64_t group, int upto) {
+    const auto n = static_cast<std::size_t>(upto);
+    PooledBuffer both(2 * n * bs);  // recomputed rows, then stored ones
+    std::size_t i = 0;
+    if (diagonals(group, 0, upto, both.span()).ok()) {
+      while (i < n && std::ranges::equal(both.block(i, bs),
+                                         both.block(n + i, bs))) {
+        ++i;
+      }
+    }
+    return static_cast<int>(i);
+  };
   const std::int64_t journalled_g = g;
   const int journalled_rows = rows;
   if (g > 0 && g <= groups_) {
-    const int stale = first_stale_diag(g - 1, p - 1);
-    if (stale < p - 1) {
+    const int ok = verified(g - 1, p - 1);
+    if (ok < p - 1) {
       --g;
-      rows = stale;
+      rows = ok;
     }
   }
   if (g < groups_ && rows > 0) {
-    rows = first_stale_diag(g, rows);
+    rows = verified(g, rows);
   }
   if (g != journalled_g || rows != journalled_rows) {
     emit_event(obs::EventLevel::kWarn,
@@ -355,105 +369,122 @@ void OnlineMigrator::charge(const IoCounters& c, Flow flow) {
   stats_.backoff_us += c.backoff_us;
 }
 
-void OnlineMigrator::bump(std::uint64_t OnlineStats::*counter) {
+void OnlineMigrator::bump(std::uint64_t OnlineStats::*counter,
+                          std::uint64_t n) {
   std::lock_guard sk(stats_mu_);
-  ++(stats_.*counter);
+  stats_.*counter += n;
+}
+
+void OnlineMigrator::reconstructed(std::uint64_t n, Flow flow,
+                                   std::int64_t group, int disk,
+                                   std::int64_t block) {
+  if (n == 0) return;
+  bump(&OnlineStats::reconstructed_reads, n);
+  if (events_) {
+    emit_event(obs::EventLevel::kWarn,
+               std::string("read served by parity reconstruction (") +
+                   (flow == Flow::kConversion ? "conversion" : "application") +
+                   " flow)",
+               group, -1, disk, block, "reconstructed_read");
+  }
+}
+
+std::optional<RepairPlan> OnlineMigrator::plan_cells(
+    std::size_t chains, std::vector<int>& erased,
+    std::span<const int> targets) const {
+  for (int d = 0; d < m_; ++d) {
+    if (!array_.disk_failed(d)) continue;
+    for (int r = 0; r < code_.rows(); ++r) {
+      erased.push_back(r * code_.cols() + d);
+    }
+  }
+  std::ranges::sort(erased);
+  erased.erase(std::ranges::unique(erased).begin(), erased.end());
+  return plan_repair(code_.cell_count(),
+                     std::span(code_.chain_specs()).first(chains), erased,
+                     targets);
 }
 
 IoResult OnlineMigrator::read_source(int disk, std::int64_t block,
                                      std::size_t offset,
                                      std::span<std::uint8_t> out, Flow flow) {
   IoCounters c;
-  bool reconstructed = false;
   IoResult r = IoResult::fail(IoStatus::kDiskFailed, disk, block);
   if (!array_.disk_failed(disk)) {
     r = read_range_retry(array_, disk, block, offset, out, retry_, &c);
   }
   if (!r.ok() && disk < m_) {
-    // Reconstruct through the RAID-5 horizontal parity (Eq. 1): every
-    // row of the source array XORs to zero, so the block is the XOR of
-    // its m-1 row mates (data and parity cells alike, hard sector errors
-    // as well as whole-disk loss). The recipe covers whole blocks; only
-    // the range is copied out.
-    const auto row = static_cast<int>(block % code_.rows());
-    RepairPlan plan;
-    bool possible = true;
-    for (int d = 0; d < m_; ++d) {
-      if (d == disk) continue;
-      possible = possible && !array_.disk_failed(d);
-      plan.reads.push_back(row * code_.cols() + d);
-    }
-    plan.recipes.push_back({row * code_.cols() + disk, plan.reads});
-    if (possible) {
+    // Reconstruct through the RAID-5 horizontal parity (Eq. 1) alone:
+    // every row of the source array XORs to zero, so the block is the
+    // XOR of its m-1 row mates (data and parity cells alike, hard sector
+    // errors as well as whole-disk loss). The recipe covers whole
+    // blocks; only the range is copied out.
+    const int cell =
+        static_cast<int>(block % code_.rows()) * code_.cols() + disk;
+    std::vector<int> erased{cell};
+    if (const auto plan = plan_cells(static_cast<std::size_t>(m_), erased,
+                                     std::span(&cell, 1))) {
       PooledBuffer whole(array_.block_bytes());
-      r = read_repaired(array_, code_, 0, plan, block / code_.rows(), 1,
+      r = read_repaired(array_, code_, 0, *plan, block / code_.rows(), 1,
                         whole.span(), retry_, &c);
       if (r.ok()) {
         std::memcpy(out.data(), whole.data() + offset, out.size());
-        reconstructed = true;
+        reconstructed(1, flow, -1, disk, block);
       }
     }
   }
   charge(c, flow);
-  if (reconstructed) {
-    bump(&OnlineStats::reconstructed_reads);
-    if (events_) {
-      const char* who =
-          flow == Flow::kConversion ? "conversion" : "application";
-      emit_event(obs::EventLevel::kWarn,
-                 std::string("read served by parity reconstruction (") + who +
-                     " flow)",
-                 -1, -1, disk, block, "reconstructed_read");
-    }
-  }
   return r;
 }
 
-IoResult OnlineMigrator::diag_chain(std::int64_t group, int diag_row,
-                                    std::span<std::uint8_t> acc) {
-  // Chain for diagonal parity row i (Eq. 2): data cells
-  // (<i-1-j> mod p, j), j != i. The chain members are staged into one
-  // arena, then folded with a single accumulate pass.
+IoResult OnlineMigrator::diagonals(std::int64_t group, int lo, int hi,
+                                   std::span<std::uint8_t> stored) {
   const int p = code_.p();
-  const std::size_t bs = array_.block_bytes();
-  PooledBuffer arena(bs * static_cast<std::size_t>(p - 2));
-  std::vector<const std::uint8_t*> srcs;
-  srcs.reserve(static_cast<std::size_t>(p - 2));
-  for (int j = 0; j <= p - 2; ++j) {
-    if (j == diag_row) continue;
-    const int r = pmod(diag_row - 1 - j, p);
-    auto slot = arena.block(srcs.size(), bs);
-    const IoResult res =
-        read_source(j, group * (p - 1) + r, 0, slot, Flow::kConversion);
-    if (!res.ok()) return res;
-    srcs.push_back(slot.data());
+  std::vector<int> lost;  // every diagonal is erased: none is a source
+  for (int i = 0; i <= p - 2; ++i) lost.push_back(i * p + p - 1);
+  const std::vector<int> targets(lost.begin() + lo, lost.begin() + hi);
+  for (IoResult r = IoResult::success();;) {  // r: the last failed read
+    std::optional<RepairPlan> own;  // else the fault-free whole group's
+    if (hi - lo < p - 1 || !stored.empty() || !r.ok() ||
+        array_.failed_disks() != 0) {
+      own = plan_cells(2 * static_cast<std::size_t>(p - 1), lost, targets);
+      if (!own) {  // r broke the group, or failed disks alone did
+        const int c = *std::ranges::find_if(
+            lost, [p](int x) { return x % p != p - 1; });
+        return r.ok() ? IoResult::fail(IoStatus::kDiskFailed, c % p,
+                                       group * (p - 1) + c / p)
+                      : r;
+      }
+      if (!stored.empty()) {
+        for (int t : targets) {  // and each stored copy, as it reads
+          own->recipes.push_back({t, {t}});
+          own->reads.insert(std::ranges::upper_bound(own->reads, t), t);
+        }
+      }
+    }
+    IoCounters c;
+    const RepairPlan& plan = own ? *own : diag_plan_;
+    r = stored.empty()
+            ? rebuild_stripes(array_, code_, 0, plan, group, 1, retry_, &c)
+            : read_repaired(array_, code_, 0, plan, group, 1, stored, retry_,
+                            &c);
+    charge(c, Flow::kConversion);
+    if (r.ok()) break;
+    // A failed disk brings its whole column into the next plan.
+    const int cell =
+        static_cast<int>(r.block % code_.rows()) * code_.cols() + r.disk;
+    if (r.disk >= m_ || std::ranges::binary_search(lost, cell)) return r;
+    lost.push_back(cell);
   }
-  xor_accumulate(acc, srcs);
+  // Erased data cells on the targets' chains (Eq. 2 puts cell (r, j) on
+  // diagonal row <r + j + 1>_p).
+  const auto rebuilt = std::ranges::count_if(lost, [&](int x) {
+    const int row = pmod(x / p + x % p + 1, p);
+    return x % p != p - 1 && row >= lo && row < hi;
+  });
+  reconstructed(static_cast<std::uint64_t>(rebuilt), Flow::kConversion,
+                group, -1, -1);
   return IoResult::success();
-}
-
-IoResult OnlineMigrator::generate_diag(std::int64_t group, int diag_row) {
-  PooledBuffer acc(array_.block_bytes());
-  const IoResult chain = diag_chain(group, diag_row, acc.span());
-  if (!chain.ok()) return chain;
-  IoCounters c;
-  const IoResult res =
-      write_block_retry(array_, new_disk_, group * (code_.p() - 1) + diag_row,
-                        acc.span(), retry_, &c);
-  charge(c, Flow::kConversion);
-  return res;
-}
-
-int OnlineMigrator::first_stale_diag(std::int64_t group, int upto) {
-  PooledBuffer acc(array_.block_bytes());
-  for (int i = 0; i < upto; ++i) {
-    // An unreadable chain counts as stale: the conversion retries it.
-    if (!diag_chain(group, i, acc.span()).ok()) return i;
-    const auto stored =
-        array_.raw_block(new_disk_, group * (code_.p() - 1) + i);
-    if (!std::ranges::equal(acc.span(), stored)) return i;
-  }
-  return upto;
 }
 
 std::int64_t OnlineMigrator::claim_group(int w) {
@@ -534,33 +565,23 @@ void OnlineMigrator::conversion_worker(int w) {
     }
     std::shared_lock ops(ops_mu_);
     std::lock_guard gl(group_lock(g));
-    const int first = g == start_group_ ? start_row_ : 0;
     // The group's diagonals in one pass of the rebuild's executor:
-    // 2(p-2) source read runs, one diagonal-column write run. Rows below
-    // `first` were verified by resume() and are rewritten with the same
-    // values. A failed disk, or a source read that fails past its
-    // retries, sends the group row by row instead, reconstructing
-    // through the horizontal parity.
-    IoCounters c;
-    const bool whole =
-        array_.failed_disks() == 0 &&
-        rebuild_stripes(array_, code_, 0, diag_plan_, g, 1, retry_, &c).ok();
-    charge(c, Flow::kConversion);
+    // 2(p-2) source read runs, one diagonal-column write run, or one
+    // read run per surviving source column when a column is erased. Rows
+    // below `first` were verified by resume() and are rewritten with the
+    // same values.
+    if (const IoResult res = diagonals(g, 0, p - 1); !res.ok()) {
+      abort_from_io("conversion cannot generate the diagonals of group " +
+                    std::to_string(g) + ": " + describe(res));
+      return;
+    }
     // Rows are published and journalled one at a time, so the journal
     // sequence is the row-by-row converter's and a stop can still land
     // mid-group. Both happen under the group lock: a row published
     // after releasing it could miss a write's diagonal update.
+    const int first = g == start_group_ ? start_row_ : 0;
     for (int i = first; i <= p - 2; ++i) {
       if (i > first && stop_requested_.load()) return;
-      if (!whole) {
-        const IoResult res = generate_diag(g, i);
-        if (!res.ok()) {
-          abort_from_io("conversion cannot generate diagonal row " +
-                        std::to_string(i) + " of group " + std::to_string(g) +
-                        ": " + describe(res));
-          return;
-        }
-      }
       rows_done_[g].store(i + 1, std::memory_order_release);
       if (obs::metrics_enabled()) {
         worker_rows_[static_cast<std::size_t>(w)].inc();
@@ -721,7 +742,7 @@ IoResult OnlineMigrator::write_range(std::int64_t logical, std::size_t offset,
       // stale on a live new disk is regenerated from the (already
       // updated) data, counted as the conversion I/O it is.
       if (!updated && !array_.disk_failed(new_disk_)) {
-        updated = generate_diag(l.group, diag_row).ok();
+        updated = diagonals(l.group, diag_row, diag_row + 1).ok();
       }
       if (!updated) bump(&OnlineStats::degraded_writes);
     }

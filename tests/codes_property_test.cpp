@@ -323,7 +323,8 @@ TEST_P(ParallelConversion, CrashAndResumeStaysByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(Primes, ParallelConversion,
                          ::testing::Values(5, 7, 11, 13),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "p" + std::to_string(info.param);
+                           const std::string p = std::to_string(info.param);
+                           return "p" + p;
                          });
 
 }  // namespace

@@ -40,8 +40,8 @@ TEST(EventLog, RingKeepsNewestAndCountsOverwrites) {
   obs::EventLog log(4);
   log.set_stderr_echo(false);
   for (int i = 0; i < 6; ++i) {
-    log.emit(make_event(obs::EventLevel::kInfo, "e" + std::to_string(i)),
-             "k" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    log.emit(make_event(obs::EventLevel::kInfo, "e" + n), "k" + n);
   }
   EXPECT_EQ(log.emitted(), 6u);
   EXPECT_EQ(log.overwritten(), 2u);

@@ -312,7 +312,7 @@ TEST(MigrationMonitor, PostmortemBundleWrittenOnAbortAndSummarized) {
 
   FaultPlan plan;
   plan.disk_failures.push_back({.disk = 1, .after_ios = 10});
-  plan.disk_failures.push_back({.disk = 2, .after_ios = 30});
+  plan.disk_failures.push_back({.disk = 2, .after_ios = 20});
   array.set_fault_plan(plan);
 
   const std::string path = ::testing::TempDir() + "c56_pm_bundle.json";

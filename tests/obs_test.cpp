@@ -443,7 +443,8 @@ TEST(Trace, RingKeepsMostRecentAndCountsDropped) {
   EXPECT_EQ(rec.capacity(), 4u);
   for (int i = 0; i < 6; ++i) {
     obs::TraceSpan s;
-    s.name = "s" + std::to_string(i);
+    const std::string n = std::to_string(i);
+    s.name = "s" + n;
     s.start_us = static_cast<std::uint64_t>(i);
     rec.record(std::move(s));
   }

@@ -276,6 +276,55 @@ TEST(DegradedConversion, DoubleFailureAbortsCleanly) {
   EXPECT_TRUE(any_failed);
 }
 
+/// Flat Code 5-6 cell (row, col) of stripe group `g` as a bad block.
+FaultPlan::BadBlock bad_cell(int p, std::int64_t g, int row, int col) {
+  return {.disk = col, .block = g * (p - 1) + row};
+}
+
+TEST(DegradedConversion, BadBlocksInDistinctRowsAndColumnsAreErased) {
+  // Each unreadable data block becomes one more erased cell of its
+  // group's plan, recovered through its own row: two of them decode as
+  // long as no row holds both. Both pairs sit in group 1; the second
+  // pair shares one diagonal chain.
+  const int p = 5, m = 4;
+  for (const auto& [a, b] :
+       {std::pair{bad_cell(p, 1, 0, 0), bad_cell(p, 1, 1, 1)},
+        std::pair{bad_cell(p, 1, 0, 1), bad_cell(p, 1, 1, 0)}}) {
+    SCOPED_TRACE("disks " + std::to_string(a.disk) + "," +
+                 std::to_string(b.disk));
+    DiskArray array(m, 3LL * (p - 1), kBlock);
+    fill_raid5(array, m, 0xE7A);
+    OnlineMigrator mig(array, p);
+    mig.set_retry_policy(fast_retry());
+    FaultPlan plan;
+    plan.bad_blocks = {a, b};
+    array.set_fault_plan(plan);
+    mig.start();
+    mig.finish();
+    EXPECT_EQ(mig.state(), MigrationState::kDone) << mig.abort_reason();
+    EXPECT_EQ(mig.stats().reconstructed_reads, 2u);
+    EXPECT_TRUE(mig.verify_raid6());
+  }
+}
+
+TEST(DegradedConversion, BadBlocksInOneRowAbort) {
+  // Two erased data cells in one row, with the diagonal column still
+  // to be generated, leave the group undecodable.
+  const int p = 5, m = 4;
+  DiskArray array(m, 3LL * (p - 1), kBlock);
+  fill_raid5(array, m, 0xE7B);
+  OnlineMigrator mig(array, p);
+  mig.set_retry_policy(fast_retry());
+  FaultPlan plan;
+  plan.bad_blocks = {bad_cell(p, 1, 0, 0), bad_cell(p, 1, 0, 1)};
+  array.set_fault_plan(plan);
+  mig.start();
+  mig.finish();
+  EXPECT_EQ(mig.state(), MigrationState::kAborted);
+  EXPECT_NE(mig.abort_reason().find("diagonal"), std::string::npos)
+      << mig.abort_reason();
+}
+
 TEST(CrashResume, ByteIdenticalToUninterruptedRun) {
   const int p = 5, m = 4;
   const std::int64_t groups = 8;
@@ -356,6 +405,44 @@ TEST(CrashResume, WatermarkGroupIsReverified) {
   mig2.finish();
   EXPECT_EQ(mig2.state(), MigrationState::kDone);
   EXPECT_TRUE(mig2.verify_raid6());
+}
+
+TEST(CrashResume, UnreadableVerifiedDiagonalIsRegenerated) {
+  // resume() reads the stored diagonals it verifies through counted
+  // I/O: one that has become unreadable is stale, so the conversion
+  // rewinds to it and rewrites it, which remaps the bad block.
+  const int p = 5, m = 4;
+  const std::int64_t groups = 8;
+  DiskArray array(m, groups * (p - 1), kBlock);
+  fill_raid5(array, m, 36);
+  StopAfterSink sink(14);
+  std::int64_t watermark = 0;
+  {
+    OnlineMigrator mig(array, p);
+    mig.set_workers(1);  // checkpoint 14 is mid-conversion
+    mig.attach_journal(sink);
+    sink.arm([&mig] { mig.request_stop(); });
+    mig.start();
+    mig.finish();
+    ASSERT_EQ(mig.state(), MigrationState::kStopped);
+    watermark = mig.groups_done();
+    ASSERT_GT(watermark, 0);
+  }
+  sink.disarm();
+  const std::int64_t block = (watermark - 1) * (p - 1) + 1;
+  FaultPlan plan;
+  plan.bad_blocks.push_back({.disk = m, .block = block});
+  array.set_fault_plan(plan);
+  OnlineMigrator mig2(array, p);
+  mig2.set_retry_policy(fast_retry());
+  mig2.attach_journal(sink);
+  mig2.resume();
+  mig2.finish();
+  EXPECT_EQ(mig2.state(), MigrationState::kDone);
+  EXPECT_TRUE(mig2.verify_raid6());
+  std::vector<std::uint8_t> got(kBlock);
+  ASSERT_TRUE(array.read_block(m, block, got).ok());
+  EXPECT_TRUE(std::ranges::equal(got, array.raw_block(m, block)));
 }
 
 TEST(CrashResume, LostWatermarkRecordAfterLastRow) {
@@ -1109,6 +1196,105 @@ TEST(MigratorRebuildIoPins, TornDiagonalUpdateIsRegenerated) {
     ASSERT_TRUE(mig.read_block(b, got).ok()) << "logical " << b;
     EXPECT_EQ(got, want[static_cast<std::size_t>(b)]) << "logical " << b;
   }
+}
+
+// ---------------------------------------------------------------------
+// Degraded conversion I/O: a source column failed before start() is
+// erased in every group's diagonal plan, so a group reads each of its
+// p-2 surviving source columns as one whole-column run and writes its
+// diagonal column as one run. The p-2 data cells of the dead column
+// that the diagonal chains hold count as reconstructed reads.
+
+struct GroupIo {
+  std::uint64_t reads, read_runs, writes, write_runs, reconstructed;
+  bool operator==(const GroupIo&) const = default;
+};
+
+struct DegradedPin {
+  int p;
+  int failed;  // source column failed before start()
+  GroupIo group;
+  GroupIo parent;  // the row-by-row fallback: one run per block
+};
+
+// {reads, read runs, writes, write runs, reconstructed reads} per group.
+constexpr DegradedPin kDegradedPins[] = {
+    {5, 0, {12, 3, 4, 1, 3}, {18, 18, 4, 4, 3}},
+    {5, 1, {12, 3, 4, 1, 3}, {18, 18, 4, 4, 3}},
+    {5, 2, {12, 3, 4, 1, 3}, {18, 18, 4, 4, 3}},
+    {5, 3, {12, 3, 4, 1, 3}, {18, 18, 4, 4, 3}},
+    {7, 0, {30, 5, 6, 1, 5}, {50, 50, 6, 6, 5}},
+    {7, 1, {30, 5, 6, 1, 5}, {50, 50, 6, 6, 5}},
+    {7, 2, {30, 5, 6, 1, 5}, {50, 50, 6, 6, 5}},
+    {7, 3, {30, 5, 6, 1, 5}, {50, 50, 6, 6, 5}},
+    {7, 4, {30, 5, 6, 1, 5}, {50, 50, 6, 6, 5}},
+    {7, 5, {30, 5, 6, 1, 5}, {50, 50, 6, 6, 5}},
+    {11, 0, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 1, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 2, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 3, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 4, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 5, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 6, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 7, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 8, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+    {11, 9, {90, 9, 10, 1, 9}, {162, 162, 10, 10, 9}},
+};
+
+TEST(DegradedConversionIoPins, EverySourceColumnFailedBeforeStart) {
+  constexpr std::int64_t kGroups = 3;
+  std::size_t checked = 0;
+  for (int p : {5, 7, 11}) {
+    const int m = p - 1;
+    const auto q = static_cast<std::uint64_t>(p);
+    for (int failed = 0; failed < m; ++failed) {
+      const std::string where =
+          "p=" + std::to_string(p) + " failed=" + std::to_string(failed);
+      DiskArray array(m, kGroups * (p - 1), kBlock);
+      fill_raid5(array, m, 0xDE6 + static_cast<std::uint64_t>(p));
+      OnlineMigrator mig(array, p);
+      array.fail_disk(failed);
+      mig.start();
+      mig.finish();
+      ASSERT_EQ(mig.state(), MigrationState::kDone) << where;
+      EXPECT_TRUE(mig.verify_raid6()) << where;
+      const OnlineStats s = mig.stats();
+      const auto per_group = [&](std::uint64_t n) {
+        EXPECT_EQ(n % kGroups, 0u) << where;
+        return n / kGroups;
+      };
+      const GroupIo got{per_group(array.total_reads()),
+                        per_group(array.total_read_runs()),
+                        per_group(array.total_writes()),
+                        per_group(array.total_write_runs()),
+                        per_group(s.reconstructed_reads)};
+      EXPECT_EQ(s.conv_reads, got.reads * kGroups) << where;
+      EXPECT_EQ(s.conv_writes, got.writes * kGroups) << where;
+      const auto it = std::find_if(
+          std::begin(kDegradedPins), std::end(kDegradedPins),
+          [&](const DegradedPin& x) { return x.p == p && x.failed == failed; });
+      if (it == std::end(kDegradedPins)) {
+        ADD_FAILURE() << "no pin for " << where;
+        std::printf("    {%d, %d, {%llu, %llu, %llu, %llu, %llu}},\n", p,
+                    failed, static_cast<unsigned long long>(got.reads),
+                    static_cast<unsigned long long>(got.read_runs),
+                    static_cast<unsigned long long>(got.writes),
+                    static_cast<unsigned long long>(got.write_runs),
+                    static_cast<unsigned long long>(got.reconstructed));
+        continue;
+      }
+      ++checked;
+      EXPECT_EQ(got, it->group) << where;
+      // The closed forms, and the parent's (p-2)^2 extra row-XOR reads.
+      EXPECT_EQ(it->group, (GroupIo{(q - 1) * (q - 2), q - 2, q - 1, 1, q - 2}))
+          << where;
+      EXPECT_EQ(it->parent, (GroupIo{2 * (q - 2) * (q - 2),
+                                     2 * (q - 2) * (q - 2), q - 1, q - 1,
+                                     q - 2}))
+          << where;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kDegradedPins));
 }
 
 }  // namespace

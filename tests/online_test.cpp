@@ -118,6 +118,10 @@ TEST(OnlineMigrator, QuiescentMigrationProducesValidRaid6) {
 // whole, rewriting the rows resume() verified; one whose p-1 rows all
 // verified is done and costs nothing. `parent` is the row-by-row
 // converter's cost of the same group: one run per block, rows r..p-2.
+// `verify` is what resume() reads to check rows 0..r-1 first: one
+// read_repaired of their r(p-2) chain cells, in runs, plus their r
+// stored diagonals as one run. The parent re-read the chains block by
+// block (r(p-2) reads and runs) and compared them with uncounted bytes.
 struct ConvIo {
   std::uint64_t reads, read_runs, writes, write_runs;
   bool operator==(const ConvIo&) const = default;
@@ -128,21 +132,22 @@ struct ConvPin {
   int from_row;
   ConvIo group;
   ConvIo parent;
+  ConvIo verify;
 };
 
 constexpr ConvPin kConvPins[] = {
-    {5, 0, {12, 6, 4, 1}, {12, 12, 4, 4}},
-    {5, 1, {12, 6, 4, 1}, {9, 9, 3, 3}},
-    {5, 3, {12, 6, 4, 1}, {3, 3, 1, 1}},
-    {5, 4, {0, 0, 0, 0}, {0, 0, 0, 0}},
-    {7, 0, {30, 10, 6, 1}, {30, 30, 6, 6}},
-    {7, 1, {30, 10, 6, 1}, {25, 25, 5, 5}},
-    {7, 5, {30, 10, 6, 1}, {5, 5, 1, 1}},
-    {7, 6, {0, 0, 0, 0}, {0, 0, 0, 0}},
-    {11, 0, {90, 18, 10, 1}, {90, 90, 10, 10}},
-    {11, 1, {90, 18, 10, 1}, {81, 81, 9, 9}},
-    {11, 9, {90, 18, 10, 1}, {9, 9, 1, 1}},
-    {11, 10, {0, 0, 0, 0}, {0, 0, 0, 0}},
+    {5, 0, {12, 6, 4, 1}, {12, 12, 4, 4}, {0, 0, 0, 0}},
+    {5, 1, {12, 6, 4, 1}, {9, 9, 3, 3}, {4, 4, 0, 0}},
+    {5, 3, {12, 6, 4, 1}, {3, 3, 1, 1}, {12, 6, 0, 0}},
+    {5, 4, {0, 0, 0, 0}, {0, 0, 0, 0}, {16, 7, 0, 0}},
+    {7, 0, {30, 10, 6, 1}, {30, 30, 6, 6}, {0, 0, 0, 0}},
+    {7, 1, {30, 10, 6, 1}, {25, 25, 5, 5}, {6, 6, 0, 0}},
+    {7, 5, {30, 10, 6, 1}, {5, 5, 1, 1}, {30, 10, 0, 0}},
+    {7, 6, {0, 0, 0, 0}, {0, 0, 0, 0}, {36, 11, 0, 0}},
+    {11, 0, {90, 18, 10, 1}, {90, 90, 10, 10}, {0, 0, 0, 0}},
+    {11, 1, {90, 18, 10, 1}, {81, 81, 9, 9}, {10, 10, 0, 0}},
+    {11, 9, {90, 18, 10, 1}, {9, 9, 1, 1}, {90, 18, 0, 0}},
+    {11, 10, {0, 0, 0, 0}, {0, 0, 0, 0}, {100, 19, 0, 0}},
 };
 
 ConvIo pin_of(int p, int from_row) {
@@ -171,6 +176,7 @@ TEST(ConversionIoPins, EveryGroupFreshAndResumed) {
     EXPECT_EQ(pin.parent.writes, rows_left);
     EXPECT_EQ(pin.parent.read_runs, pin.parent.reads);
     EXPECT_EQ(pin.parent.write_runs, pin.parent.writes);
+    EXPECT_EQ(pin.verify.reads, static_cast<std::uint64_t>(r * (p - 1)));
 
     DiskArray array(m, kGroups * (p - 1), kBlock);
     fill_raid5(array, m, 40 + static_cast<std::uint64_t>(p));
@@ -203,10 +209,10 @@ TEST(ConversionIoPins, EveryGroupFreshAndResumed) {
     mig.finish();
     ASSERT_EQ(mig.state(), MigrationState::kDone);
     EXPECT_TRUE(mig.verify_raid6());
-    // resume() first re-reads the journalled rows' chains block by block.
-    const auto verify = static_cast<std::uint64_t>(r * (p - 2));
+    // resume() first reads the journalled rows' chains and stored copies.
+    const std::uint64_t verify = pin.verify.reads;
     const ConvIo got{array.total_reads() - r0 - verify,
-                     array.total_read_runs() - rr0 - verify,
+                     array.total_read_runs() - rr0 - pin.verify.read_runs,
                      array.total_writes() - w0,
                      array.total_write_runs() - wr0};
     const std::uint64_t rest = kGroups - 1;
