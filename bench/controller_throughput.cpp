@@ -28,8 +28,11 @@
 // third gate prices stripe-cache churn: shuffled single-block reads
 // over a 70-stripe Code 5-6 p = 7 array through a 16-stripe cache, so
 // nearly every read misses and recycles a slot, must cost at most 4x
-// the same reads with the cache off. The process exits non-zero if any
-// gate fails — CI runs this with --smoke as a perf regression
+// the same reads with the cache off. A fourth pins the write planner's
+// disk traffic: sequential 16-block writes over the same array, cache
+// off and 16-stripe cache, may read no more blocks and must write
+// exactly as many as pinned (measure_planner_io). The process exits
+// non-zero if any gate fails — CI runs this with --smoke as a perf regression
 // tripwire. The report embeds a registry snapshot of the attached
 // controller under "metrics_snapshot".
 
@@ -368,6 +371,54 @@ ChurnReport measure_cache_churn(int trials, int passes_per_trial) {
   return r;
 }
 
+/// Write-planner read gate: sequential 16-block write(l, 16, ...) calls
+/// over a 70-stripe Code 5-6 p = 7 array (4 KiB blocks), one pass to
+/// seed it and one counted pass with a different payload. The counted
+/// pass writes 131 runs, 2096 blocks. The planner that only read-
+/// modify-wrote read 3319 blocks (1.5835 per written block) with the
+/// cache off and with a 16-stripe cache; reconstruct-write must keep
+/// reads at or under the pins below and writes exactly at theirs.
+struct PlannerIo {
+  std::uint64_t blocks = 0;  // written by the counted pass
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  double per(std::uint64_t n) const {
+    return static_cast<double>(n) / static_cast<double>(blocks);
+  }
+};
+
+constexpr std::uint64_t kPlannerReadsCacheOff = 2571;  // 1.2266 per block
+constexpr std::uint64_t kPlannerReadsCacheOn = 1561;   // 0.7448 per block
+constexpr std::uint64_t kPlannerWrites = 3634;         // 1.7338 per block
+
+PlannerIo measure_planner_io(std::size_t cache_stripes) {
+  constexpr int kGateP = 7;
+  constexpr std::int64_t kGateStripes = 70;
+  constexpr std::int64_t kRun = 16;
+  auto code = c56::make_code(c56::CodeId::kCode56, kGateP);
+  c56::mig::DiskArray array(code->cols(), kGateStripes * code->rows(),
+                            kBlock);
+  c56::mig::ArrayController ctrl(array, std::move(code));
+  ctrl.set_cache_stripes(cache_stripes);
+  const std::int64_t runs = ctrl.logical_blocks() / kRun;
+  const std::size_t len = static_cast<std::size_t>(kRun) * kBlock;
+  c56::Buffer pay(static_cast<std::size_t>(runs) * len);
+  c56::Rng rng(0xC56'5EC);
+  const auto pass = [&] {
+    rng.fill(pay.data(), pay.size());
+    for (std::int64_t r = 0; r < runs; ++r) {
+      ctrl.write(r * kRun, kRun,
+                 {pay.data() + static_cast<std::size_t>(r) * len, len});
+    }
+  };
+  pass();
+  const std::uint64_t r0 = array.total_reads();
+  const std::uint64_t w0 = array.total_writes();
+  pass();
+  return {static_cast<std::uint64_t>(runs * kRun), array.total_reads() - r0,
+          array.total_writes() - w0};
+}
+
 std::string flags(const Config& c) {
   std::string s = c.degraded ? "degraded" : "healthy";
   s += c.cached ? "+cache" : "";
@@ -499,6 +550,13 @@ int main(int argc, char** argv) {
   const bool ov_pass = ov.ratio >= 0.98;
 
   const ChurnReport churn = measure_cache_churn(smoke ? 5 : 15, 8);
+
+  const PlannerIo io_off = measure_planner_io(0);
+  const PlannerIo io_on = measure_planner_io(16);
+  const bool io_pass = io_off.reads <= kPlannerReadsCacheOff &&
+                       io_on.reads <= kPlannerReadsCacheOn &&
+                       io_off.writes == kPlannerWrites &&
+                       io_on.writes == kPlannerWrites;
   const bool churn_pass = churn.ratio <= 4.0;
 
   json << "  ],\n  \"gate\": {\"workload\": \"seq full-stripe write, "
@@ -526,6 +584,15 @@ int main(int argc, char** argv) {
        << ", \"criteria\": \"16-stripe cache <= 4x cache off per read\", "
           "\"pass\": "
        << (churn_pass ? "true" : "false") << "},\n"
+       << "  \"planner_io\": {\"workload\": \"sequential 16-block writes, "
+          "Code 5-6 p = 7, 70 stripes\", \"written_blocks\": "
+       << io_off.blocks << ", \"reads_cache_off\": " << io_off.reads
+       << ", \"reads_cache_16\": " << io_on.reads
+       << ", \"writes_cache_off\": " << io_off.writes
+       << ", \"writes_cache_16\": " << io_on.writes
+       << ", \"criteria\": \"reads <= " << kPlannerReadsCacheOff << " / "
+       << kPlannerReadsCacheOn << ", writes == " << kPlannerWrites
+       << "\", \"pass\": " << (io_pass ? "true" : "false") << "},\n"
        << "  \"metrics_snapshot\": " << ov.snapshot_json << "\n}\n";
 
   std::printf(
@@ -545,10 +612,19 @@ int main(int argc, char** argv) {
       churn.uncached_ns, churn.cached_ns, churn.ratio,
       churn_pass ? "PASS" : "FAIL");
 
+  std::printf(
+      "write planner (sequential 16-block writes, p = 7, 70 stripes): reads "
+      "per written block %.4f cache off (need <= %.4f), %.4f 16-stripe "
+      "cache (need <= %.4f); writes %.4f / %.4f (need %.4f) -> %s\n",
+      io_off.per(io_off.reads), io_off.per(kPlannerReadsCacheOff),
+      io_on.per(io_on.reads), io_on.per(kPlannerReadsCacheOn),
+      io_off.per(io_off.writes), io_on.per(io_on.writes),
+      io_off.per(kPlannerWrites), io_pass ? "PASS" : "FAIL");
+
   if (FILE* f = std::fopen("BENCH_controller.json", "w")) {
     std::fputs(json.str().c_str(), f);
     std::fclose(f);
     std::printf("wrote BENCH_controller.json\n");
   }
-  return pass && ov_pass && churn_pass ? 0 : 1;
+  return pass && ov_pass && churn_pass && io_pass ? 0 : 1;
 }

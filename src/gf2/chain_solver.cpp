@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
+#include <cmath>
+#include <cstdint>
 
 #include "gf2/bitmatrix.hpp"
 
@@ -89,32 +90,245 @@ std::optional<std::vector<RecoveryRecipe>> solve_erasures(
   return recipes;
 }
 
+void UnionChoice::clear() {
+  target_first_.clear();
+  option_first_.clear();
+  cells_.clear();
+}
+
+void UnionChoice::add_target() {
+  target_first_.push_back(option_first_.size());
+}
+
+void UnionChoice::add_option() {
+  assert(!target_first_.empty());
+  option_first_.push_back(cells_.size());
+}
+
+void UnionChoice::add_cell(int cell) {
+  assert(!option_first_.empty() && cell >= 0);
+  cells_.push_back(cell);
+}
+
+std::size_t UnionChoice::options(std::size_t target) const {
+  const std::size_t end = target + 1 < target_first_.size()
+                              ? target_first_[target + 1]
+                              : option_first_.size();
+  return end - target_first_[target];
+}
+
+std::span<const int> UnionChoice::cells(std::size_t target,
+                                        std::size_t option) const {
+  const std::size_t o = target_first_[target] + option;
+  const std::size_t end =
+      o + 1 < option_first_.size() ? option_first_[o + 1] : cells_.size();
+  return std::span<const int>(cells_).subspan(option_first_[o],
+                                              end - option_first_[o]);
+}
+
+void UnionChoice::take(std::size_t target, int delta) {
+  for (int c : cells(target, choice_[target])) {
+    int& u = uses_[static_cast<std::size_t>(c)];
+    if (delta > 0 ? u++ == 0 : --u == 0) {
+      cost_ += delta * weight_[static_cast<std::size_t>(c)];
+    }
+  }
+}
+
+// The exhaustive search walks the free targets through live_: per free
+// target (free_ order) and option, the cells no one-option target reads,
+// since those never change the weight. Its bound: every unassigned
+// target picks some option, and an uncovered cell that n unassigned
+// targets offer counts weight / n (share_) in each, so the sum over
+// their cheapest options (lean_ per option) never exceeds what their
+// picks add to the union.
+
+// Picks (delta 1) or drops live option `at`, keeping cost_ and lean_.
+void UnionChoice::live_take(std::size_t at, int delta) {
+  for (std::size_t e = live_first_[at]; e < live_first_[at + 1]; ++e) {
+    const std::size_t c = live_[e];
+    if (delta > 0 ? uses_[c]++ == 0 : --uses_[c] == 0) {
+      cost_ += delta * weight_[c];
+      for (std::size_t k = offer_first_[c]; k < offer_first_[c + 1]; ++k) {
+        lean_[offer_[k]] -= delta * share_[c];
+      }
+    }
+  }
+}
+
+// Free target j leaves (delta -1) or rejoins the unassigned ones.
+void UnionChoice::reshare(std::size_t j, int delta) {
+  for (std::size_t e = mine_first_[j]; e < mine_first_[j + 1]; ++e) {
+    const std::size_t c = mine_[e];
+    offered_[c] += delta;
+    const double share = offered_[c] > 0 ? weight_[c] / offered_[c] : 0;
+    if (uses_[c] == 0) {
+      for (std::size_t k = offer_first_[c]; k < offer_first_[c + 1]; ++k) {
+        lean_[offer_[k]] += share - share_[c];
+      }
+    }
+    share_[c] = share;
+  }
+}
+
+// Depth-first over free_[0, left), the last target first, so leaves come
+// in odometer order and the first lightest one is kept. A union only
+// grows, so a branch that the bound puts at the best or above is cut.
+void UnionChoice::branch(std::size_t left) {
+  const std::size_t j = left - 1;
+  reshare(j, -1);
+  for (std::size_t at = live_option_[j]; at < live_option_[left]; ++at) {
+    live_take(at, +1);
+    // Integer weights: the rest adds at least ceil(bound).
+    double bound = 0;
+    for (std::size_t t = 0; t < j && cost_ + bound < best_cost_; ++t) {
+      bound += *std::min_element(lean_.begin() + live_option_[t],
+                                 lean_.begin() + live_option_[t + 1]);
+    }
+    if (cost_ + std::ceil(bound - 1e-6) < best_cost_) {
+      choice_[free_[j]] = at - live_option_[j];
+      if (j == 0) {
+        best_cost_ = cost_;
+        best_ = choice_;
+      } else {
+        branch(j);
+      }
+    }
+    live_take(at, -1);
+  }
+  reshare(j, +1);
+}
+
+std::span<const std::size_t> UnionChoice::solve(std::span<const int> weight) {
+  const std::size_t k = targets();
+  weight_ = weight;
+  uses_.assign(weight.size(), 0);
+  choice_.assign(k, 0);
+  free_.clear();
+  cost_ = 0;
+  double states = 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    assert(options(i) > 0);
+    take(i, +1);
+    if (options(i) > 1) free_.push_back(i);
+    states *= static_cast<double>(options(i));
+  }
+  best_ = choice_;
+  best_cost_ = cost_;
+  if (free_.empty()) return best_;
+  if (states > 65536) {  // 2^16
+    // Greedy descent: move one target at a time while that helps.
+    const auto set = [&](std::size_t i, std::size_t o) {
+      take(i, -1);
+      choice_[i] = o;
+      take(i, +1);
+    };
+    for (bool improved = true; improved;) {
+      improved = false;
+      for (std::size_t i : free_) {
+        for (std::size_t o = 0; o < options(i); ++o) {
+          const std::size_t was = choice_[i];
+          if (o == was) continue;
+          set(i, o);
+          if (cost_ < best_cost_) {
+            best_cost_ = cost_;
+            improved = true;
+          } else {
+            set(i, was);
+          }
+        }
+      }
+    }
+    best_ = choice_;
+    return best_;
+  }
+
+  // Exhaustive: all option 0 is the first leaf; a later one replaces the
+  // best only when strictly lighter.
+  for (std::size_t i : free_) take(i, -1);
+  // live_ per option, each cell once; mine_: each free target's distinct
+  // live cells; offer_: per cell, the live options holding it.
+  live_option_.clear();
+  live_first_.clear();
+  live_.clear();
+  mine_first_.assign(1, 0);
+  mine_.clear();
+  offered_.assign(weight.size(), 0);
+  offer_first_.assign(weight.size() + 1, 0);
+  constexpr std::size_t kNone = SIZE_MAX;
+  last_.assign(weight.size(), kNone);  // the last live option holding it
+  for (std::size_t j = 0; j < free_.size(); ++j) {
+    live_option_.push_back(live_first_.size());
+    for (std::size_t o = 0; o < options(free_[j]); ++o) {
+      const std::size_t at = live_first_.size();
+      live_first_.push_back(live_.size());
+      for (int c : cells(free_[j], o)) {
+        const auto u = static_cast<std::size_t>(c);
+        if (uses_[u] > 0 || last_[u] == at) continue;
+        if (last_[u] == kNone || last_[u] < live_option_[j]) {
+          mine_.push_back(u);
+          ++offered_[u];
+        }
+        last_[u] = at;
+        live_.push_back(u);
+        ++offer_first_[u + 1];
+      }
+    }
+    mine_first_.push_back(mine_.size());
+  }
+  live_option_.push_back(live_first_.size());
+  live_first_.push_back(live_.size());
+  for (std::size_t c = 0; c < weight.size(); ++c) {
+    offer_first_[c + 1] += offer_first_[c];
+  }
+  offer_.resize(live_.size());
+  share_.assign(weight.size(), 0);
+  lean_.assign(live_first_.size() - 1, 0);
+  for (std::size_t at = 0; at + 1 < live_first_.size(); ++at) {
+    for (std::size_t e = live_first_[at]; e < live_first_[at + 1]; ++e) {
+      const std::size_t c = live_[e];
+      offer_[offer_first_[c]++] = at;  // leaves each cell's end behind
+      share_[c] = weight[c] / offered_[c];
+      lean_[at] += share_[c];
+    }
+  }
+  std::copy_backward(offer_first_.begin(), offer_first_.end() - 1,
+                     offer_first_.end());
+  offer_first_[0] = 0;
+  branch(free_.size());
+  return best_;
+}
+
 std::optional<RepairPlan> plan_repair(int num_cells,
                                       std::span<const ChainSpec> chains,
                                       std::span<const int> erased,
                                       std::span<const int> targets) {
   std::vector<char> lost(static_cast<std::size_t>(num_cells), 0);
   for (int c : erased) lost[static_cast<std::size_t>(c)] = 1;
-  // Per target, the other cells of each chain through it that holds no
-  // other erased cell.
+  // Per target, one option per chain through it that holds no other
+  // erased cell: the chain's other cells.
   const std::size_t k = targets.size();
-  std::vector<std::vector<std::vector<int>>> options(k);
+  UnionChoice pick;
   bool all_free = true;
   for (std::size_t i = 0; i < k; ++i) {
     const int t = targets[i];
     assert(lost[static_cast<std::size_t>(t)] && "target not erased");
+    pick.add_target();
+    bool any = false;
     for (const ChainSpec& ch : chains) {
-      if (std::ranges::find(ch.cells, t) == ch.cells.end()) continue;
-      std::vector<int> others;
-      std::ranges::copy_if(ch.cells, std::back_inserter(others),
-                           [t](int c) { return c != t; });
-      if (std::ranges::none_of(others, [&](int c) {
-            return lost[static_cast<std::size_t>(c)];
+      if (std::ranges::find(ch.cells, t) == ch.cells.end() ||
+          std::ranges::any_of(ch.cells, [&](int c) {
+            return c != t && lost[static_cast<std::size_t>(c)];
           })) {
-        options[i].push_back(std::move(others));
+        continue;
       }
+      pick.add_option();
+      for (int c : ch.cells) {
+        if (c != t) pick.add_cell(c);
+      }
+      any = true;
     }
-    all_free = all_free && !options[i].empty();
+    all_free = all_free && any;
   }
 
   RepairPlan plan;
@@ -127,59 +341,11 @@ std::optional<RepairPlan> plan_repair(int num_cells,
                                            &RecoveryRecipe::target);
     }
   } else {
-    // uses[c] = chosen chains reading cell c; reads = cells with uses > 0.
-    std::vector<int> uses(static_cast<std::size_t>(num_cells), 0);
-    std::vector<std::size_t> choice(k, 0);
-    long reads = 0;
-    const auto take = [&](std::size_t i, int delta) {
-      for (int c : options[i][choice[i]]) {
-        int& u = uses[static_cast<std::size_t>(c)];
-        if (delta > 0 ? u++ == 0 : --u == 0) reads += delta;
-      }
-    };
-    const auto set = [&](std::size_t i, std::size_t o) {
-      take(i, -1);
-      choice[i] = o;
-      take(i, +1);
-    };
-    for (std::size_t i = 0; i < k; ++i) take(i, +1);
-    std::vector<std::size_t> best = choice;
-    long best_reads = reads;
-    double states = 1;
-    for (const auto& o : options) states *= static_cast<double>(o.size());
-    if (states <= 65536) {  // 2^16: exhaustive
-      // Odometer over every choice vector, one digit change at a time.
-      for (;;) {
-        std::size_t i = 0;
-        while (i < k && choice[i] + 1 == options[i].size()) set(i++, 0);
-        if (i == k) break;
-        set(i, choice[i] + 1);
-        if (reads < best_reads) {
-          best_reads = reads;
-          best = choice;
-        }
-      }
-    } else {
-      // Greedy descent: move one target at a time while that helps.
-      for (bool improved = true; improved;) {
-        improved = false;
-        for (std::size_t i = 0; i < k; ++i) {
-          for (std::size_t o = 0; o < options[i].size(); ++o) {
-            const std::size_t was = choice[i];
-            set(i, o);
-            if (reads < best_reads) {
-              best_reads = reads;
-              improved = true;
-            } else {
-              set(i, was);
-            }
-          }
-        }
-      }
-      best = choice;
-    }
+    const std::vector<int> unit(static_cast<std::size_t>(num_cells), 1);
+    const std::span<const std::size_t> best = pick.solve(unit);
     for (std::size_t i = 0; i < k; ++i) {
-      plan.recipes[i] = {targets[i], options[i][best[i]]};
+      const std::span<const int> src = pick.cells(i, best[i]);
+      plan.recipes[i] = {targets[i], {src.begin(), src.end()}};
       std::ranges::sort(plan.recipes[i].sources);
     }
   }

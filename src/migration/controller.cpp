@@ -325,7 +325,8 @@ void ArrayController::write_stripe(std::int64_t stripe,
                                    std::span<const SubWrite> ops) {
   const std::size_t bs = array_.block_bytes();
   const int cols = code_->cols();
-  const auto per = static_cast<std::int64_t>(data_cells_.size());
+  const std::size_t D = data_cells_.size();
+  const auto per = static_cast<std::int64_t>(D);
 
   // A touched data cell. [lo, hi) is the hull of the cell's entries (the
   // whole block with the delta plane off): the only bytes read, compared
@@ -341,27 +342,35 @@ void ArrayController::write_stripe(std::int64_t stripe,
     bool changed = true;
     const std::uint8_t* img = nullptr;  // new image, block base
   };
-  // A surviving parity the batch feeds. Direct parities are recomputed
-  // from new images; the others are read-modify-written over [lo, hi),
-  // the union of their changed inputs' ranges (empty: nothing to do).
+  // A surviving parity the batch feeds. kDirect (every input covered
+  // whole) and kRcw (reconstruct-write) recompute it from its inputs'
+  // current images: a touched input's new one, an untouched input's old
+  // one. kRmw reads it over [lo, hi), the union of its changed inputs'
+  // ranges (empty: nothing to do), and folds in parity ^= new ^ old.
+  // rcw_ok: rcw may be planned (see the choice below).
+  enum class How : std::uint8_t { kDirect, kRmw, kRcw };
   struct Par {
     int flat;
-    bool direct;
+    How how;
+    bool rcw_ok;
     std::size_t lo, hi;
-    const std::uint8_t* img = nullptr;  // new image, block base
+    std::uint8_t* img = nullptr;  // new image, block base
   };
   // Scratch reused across calls on this thread (the planner never
   // nests), so a steady-state write allocates nothing.
-  thread_local std::vector<int> slot_of, pslot;
+  thread_local std::vector<int> slot_of, old_at, fetch, pslot, weight;
   thread_local std::vector<Touch> touch;
   thread_local std::vector<Par> par;
   thread_local std::vector<CellRead> rd, lost;
   thread_local std::vector<CellWrite> wr;
   thread_local std::vector<const std::uint8_t*> srcs;
-  slot_of.assign(data_cells_.size(), -1);
+  thread_local std::vector<std::uint64_t> cached;
+  thread_local UnionChoice pick;
+  slot_of.assign(D, -1);
   pslot.assign(kind_.size(), -1);
   touch.clear();
   par.clear();
+  fetch.clear();
 
   for (const SubWrite& w : ops) {
     int& s = slot_of[static_cast<std::size_t>(w.logical % per)];
@@ -376,15 +385,21 @@ void ArrayController::write_stripe(std::int64_t stripe,
     t.whole = t.whole || w.data.size() == bs;
     ++t.entries;
   }
+  const std::size_t T = touch.size();
   const auto slot = [&](Cell c) {
     return slot_of[static_cast<std::size_t>(data_idx(c))];
   };
+  // old_at: where a cell's old image goes, the touched cells' slots
+  // first, then the untouched cells rcw reads (listed in `fetch`).
+  old_at = slot_of;
 
   // Parities, each once; failed ones are regenerated at rebuild time. A
   // parity is direct when the batch covers every expanded input whole.
-  // RMW parities need the old bytes of their touched inputs, and so
-  // does every partially covered cell.
-  bool full = touch.size() == data_cells_.size();
+  // rcw is offered to a parity the batch writes whole at two or more
+  // inputs, none partly and none on a failed disk: with one input it
+  // never reads less, and it rewrites cells rmw would find unchanged.
+  bool full = T == D;
+  bool any_rcw = false;
   for (Touch& t : touch) {
     full = full && t.whole;
     t.need_old = !t.whole;
@@ -394,16 +409,70 @@ void ArrayController::write_stripe(std::int64_t stripe,
         continue;
       }
       pslot[static_cast<std::size_t>(pf)] = static_cast<int>(par.size());
-      bool direct = true;
+      bool direct = true, rcw_ok = true;
+      int whole_inputs = 0;
       for (Cell ic : parity_inputs(pf)) {
         const int s = slot(ic);
-        direct = direct && s >= 0 && touch[static_cast<std::size_t>(s)].whole;
+        const bool whole = s >= 0 && touch[static_cast<std::size_t>(s)].whole;
+        direct = direct && whole;
+        whole_inputs += whole;
+        rcw_ok = rcw_ok && (s < 0 || whole) && !cell_failed(ic);
       }
-      par.push_back({pf, direct, direct ? 0 : bs, direct ? bs : 0});
+      rcw_ok = rcw_ok && !direct && whole_inputs >= 2;
+      any_rcw = any_rcw || rcw_ok;
+      par.push_back({pf, direct ? How::kDirect : How::kRmw, rcw_ok,
+                     direct ? 0 : bs, direct ? bs : 0});
+    }
+  }
+
+  // rmw or rcw per parity, whichever mix fetches the fewest blocks. One
+  // target per non-direct parity: option 0 (rmw) reads it and its
+  // touched inputs' old images, option 1 (rcw, where offered) reads its
+  // untouched inputs whole. A parity without the choice is a one-option
+  // target, which also covers every partly covered cell's old bytes. A
+  // cell weighs 64 per block fetched plus 1 from disk, so a cached cell
+  // still counts as a copy: fewest blocks first, then fewest disk reads.
+  if (any_rcw) {
+    weight.assign(kind_.size(), 65);
+    if (cache_) {
+      cached.resize(cache_->valid_words());
+      cache_->probe(stripe, cached);
+      for (std::size_t i = 0; i < D; ++i) {
+        if (cached[i / 64] >> (i % 64) & 1) {
+          weight[static_cast<std::size_t>(flat_of(data_cells_[i]))] = 64;
+        }
+      }
+    }
+    pick.clear();
+    for (const Par& p : par) {
+      if (p.how == How::kDirect) continue;
+      pick.add_target();
+      pick.add_option();
+      pick.add_cell(p.flat);
+      for (Cell ic : parity_inputs(p.flat)) {
+        if (slot(ic) >= 0) pick.add_cell(flat_of(ic));
+      }
+      if (!p.rcw_ok) continue;
+      pick.add_option();
+      for (Cell ic : parity_inputs(p.flat)) {
+        if (slot(ic) < 0) pick.add_cell(flat_of(ic));
+      }
+    }
+    const std::span<const std::size_t> choice = pick.solve(weight);
+    std::size_t k = 0;
+    for (Par& p : par) {
+      if (p.how == How::kDirect || choice[k++] == 0) continue;
+      p = {p.flat, How::kRcw, true, 0, bs};
+      for (Cell ic : parity_inputs(p.flat)) {
+        int& at = old_at[static_cast<std::size_t>(data_idx(ic))];
+        if (at >= 0) continue;
+        at = static_cast<int>(T + fetch.size());
+        fetch.push_back(data_idx(ic));
+      }
     }
   }
   for (const Par& p : par) {
-    if (p.direct) continue;
+    if (p.how != How::kRmw) continue;
     for (Cell ic : parity_inputs(p.flat)) {
       if (const int s = slot(ic); s >= 0) {
         touch[static_cast<std::size_t>(s)].need_old = true;
@@ -412,19 +481,23 @@ void ArrayController::write_stripe(std::int64_t stripe,
   }
 
   // Read phase 1: old images (cache, then reconstruction for a failed
-  // cell, then disk), over the cell's range unless the whole block comes
-  // for free. imgs holds T old images, then T new-image slots.
-  const std::size_t T = touch.size();
-  PooledBuffer imgs(2 * T * bs);
-  std::uint8_t* const olds = imgs.data();
-  std::uint8_t* const news = imgs.data() + T * bs;
+  // cell, then disk), over a touched cell's range unless the whole block
+  // comes for free; the cells rcw reads whole. imgs holds the old images
+  // (old_at order), then T new-image slots: sized by the batch, so a
+  // small write's scratch stays small.
+  PooledBuffer imgs((2 * T + fetch.size()) * bs);
+  std::uint8_t* const news = imgs.data() + (T + fetch.size()) * bs;
+  const auto old_of = [&](int idx) {
+    return imgs.data() +
+           static_cast<std::size_t>(old_at[static_cast<std::size_t>(idx)]) *
+               bs;
+  };
   rd.clear();
   lost.clear();
-  for (std::size_t s = 0; s < T; ++s) {
-    Touch& t = touch[s];
+  for (Touch& t : touch) {
     if (!t.need_old) continue;
     const Cell c = data_cells_[static_cast<std::size_t>(t.idx)];
-    const std::span<std::uint8_t> old{olds + s * bs, bs};
+    const std::span<std::uint8_t> old{old_of(t.idx), bs};
     if (cache_lookup(stripe, c, old)) {
       t.old_full = true;
     } else if (cell_failed(c)) {
@@ -435,8 +508,19 @@ void ArrayController::write_stripe(std::int64_t stripe,
       t.old_full = t.lo == 0 && t.hi == bs;
     }
   }
+  for (const int idx : fetch) {
+    const Cell c = data_cells_[static_cast<std::size_t>(idx)];
+    if (!cache_lookup(stripe, c, {old_of(idx), bs})) {
+      rd.push_back({c, 0, bs, old_of(idx)});
+    }
+  }
   if (!lost.empty()) read_repaired_cells(stripe, lost);
   read_cells(stripe, rd);
+  // Untouched cells keep their value, so what rcw read whole may enter
+  // the cache now.
+  for (const CellRead& x : rd) {
+    if (slot(x.cell) < 0) cache_fill(stripe, x.cell, {x.block, bs});
+  }
 
   // New images, entries applied in batch order (later entries win). A
   // cell written by exactly one whole-block entry uses it in place.
@@ -453,19 +537,18 @@ void ArrayController::write_stripe(std::int64_t stripe,
       if (t.need_old) {
         const std::size_t lo = t.old_full ? 0 : t.lo;
         const std::size_t hi = t.old_full ? bs : t.hi;
-        std::memcpy(news + s * bs + lo, olds + s * bs + lo, hi - lo);
+        std::memcpy(news + s * bs + lo, old_of(t.idx) + lo, hi - lo);
       }
     }
     std::memcpy(news + s * bs + static_cast<std::size_t>(w.offset),
                 w.data.data(), w.data.size());
   }
-  for (std::size_t s = 0; s < T; ++s) {
-    Touch& t = touch[s];
-    t.changed = !t.need_old || std::memcmp(olds + s * bs + t.lo,
+  for (Touch& t : touch) {
+    t.changed = !t.need_old || std::memcmp(old_of(t.idx) + t.lo,
                                            t.img + t.lo, t.hi - t.lo) != 0;
   }
 
-  // Read phase 2: RMW parity pre-reads, still before any write. pbuf
+  // Read phase 2: rmw parity pre-reads, still before any write. pbuf
   // holds one block per parity, or the whole stripe for encode().
   PooledBuffer pbuf(
       (full ? static_cast<std::size_t>(code_->cell_count())
@@ -475,7 +558,7 @@ void ArrayController::write_stripe(std::int64_t stripe,
   for (std::size_t k = 0; k < par.size(); ++k) {
     Par& p = par[k];
     p.img = pbuf.data() + k * bs;
-    if (p.direct) continue;
+    if (p.how != How::kRmw) continue;
     for (Cell ic : parity_inputs(p.flat)) {
       const int s = slot(ic);
       if (s < 0 || !touch[static_cast<std::size_t>(s)].changed) continue;
@@ -483,15 +566,14 @@ void ArrayController::write_stripe(std::int64_t stripe,
       p.hi = std::max(p.hi, touch[static_cast<std::size_t>(s)].hi);
     }
     if (p.lo < p.hi) {
-      rd.push_back({cell_of_index(p.flat, cols), p.lo, p.hi,
-                    pbuf.data() + k * bs});
+      rd.push_back({cell_of_index(p.flat, cols), p.lo, p.hi, p.img});
     }
   }
   read_cells(stripe, rd);
 
   // New parity images. A stripe covered whole is one encode(); direct
-  // parities accumulate their inputs' new images; RMW parities fold in
-  // parity ^= new ^ old over each changed input's range.
+  // and rcw parities accumulate their inputs' current images; rmw
+  // parities fold in parity ^= new ^ old over each changed input's range.
   if (full) {
     StripeView v(pbuf.span(), code_->rows(), cols, bs);
     for (const Touch& t : touch) {
@@ -503,13 +585,14 @@ void ArrayController::write_stripe(std::int64_t stripe,
   }
   for (std::size_t k = 0; k < par.size() && !full; ++k) {
     const Par& p = par[k];
-    std::uint8_t* const out = pbuf.data() + k * bs;
-    if (p.direct) {
+    if (p.how != How::kRmw) {
       srcs.clear();
       for (Cell ic : parity_inputs(p.flat)) {
-        srcs.push_back(touch[static_cast<std::size_t>(slot(ic))].img);
+        const int s = slot(ic);
+        srcs.push_back(s >= 0 ? touch[static_cast<std::size_t>(s)].img
+                              : old_of(data_idx(ic)));
       }
-      xor_accumulate(out, reinterpret_cast<const void* const*>(srcs.data()),
+      xor_accumulate(p.img, reinterpret_cast<const void* const*>(srcs.data()),
                      srcs.size(), bs);
       continue;
     }
@@ -517,8 +600,8 @@ void ArrayController::write_stripe(std::int64_t stripe,
       const int s = slot(ic);
       if (s < 0 || !touch[static_cast<std::size_t>(s)].changed) continue;
       const Touch& t = touch[static_cast<std::size_t>(s)];
-      xor_delta_into(out + t.lo, olds + static_cast<std::size_t>(s) * bs + t.lo,
-                     t.img + t.lo, t.hi - t.lo);
+      xor_delta_into(p.img + t.lo, old_of(t.idx) + t.lo, t.img + t.lo,
+                     t.hi - t.lo);
     }
   }
 
@@ -544,16 +627,18 @@ void ArrayController::write_stripe(std::int64_t stripe,
 
   if (obs::metrics_enabled()) {
     (full ? full_stripe_writes_ : partial_stripe_writes_).inc();
-    std::uint64_t direct = 0, rmw = 0, delta = 0, sub = 0;
+    std::uint64_t direct = 0, rmw = 0, rcw = 0, delta = 0, sub = 0;
     for (const Par& p : par) {
-      const bool r = !p.direct && p.lo < p.hi;
-      direct += p.direct;
+      const bool r = p.how == How::kRmw && p.lo < p.hi;
+      direct += p.how == How::kDirect;
+      rcw += p.how == How::kRcw;
       rmw += r;
       delta += r && p.hi - p.lo < bs;
     }
     for (const SubWrite& w : ops) sub += w.data.size() < bs;
     direct_parities_.inc(direct);
     rmw_parities_.inc(rmw);
+    rcw_parities_.inc(rcw);
     delta_parities_.inc(delta);
     subblock_writes_.inc(sub);
   }
@@ -725,7 +810,8 @@ ArrayController::PlannerCounters ArrayController::planner_counters() const {
   return {ranged_reads_.value(),       ranged_writes_.value(),
           full_stripe_writes_.value(), partial_stripe_writes_.value(),
           direct_parities_.value(),    rmw_parities_.value(),
-          subblock_writes_.value(),    delta_parities_.value()};
+          rcw_parities_.value(),       subblock_writes_.value(),
+          delta_parities_.value()};
 }
 
 void ArrayController::attach_metrics(obs::Registry& registry,
@@ -745,6 +831,7 @@ void ArrayController::attach_metrics(obs::Registry& registry,
               partial_stripe_writes_.value());
     c.counter(prefix + "_direct_parities" + lb, direct_parities_.value());
     c.counter(prefix + "_rmw_parities" + lb, rmw_parities_.value());
+    c.counter(prefix + "_rcw_parities" + lb, rcw_parities_.value());
     c.counter(prefix + "_subblock_writes" + lb, subblock_writes_.value());
     c.counter(prefix + "_delta_parities" + lb, delta_parities_.value());
     if (lb.empty()) {

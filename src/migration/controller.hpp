@@ -30,10 +30,17 @@
 //     whole-block is recomputed from new data, with no pre-read of it
 //     or of old data feeding only direct parities. A stripe covered
 //     whole is one encode().
-//   * RMW parities. Every other surviving parity is read once over the
-//     union of its changed inputs' ranges, updated with
-//     parity ^= new ^ old, and written once. A cell whose bytes do not
-//     change is skipped.
+//   * RMW or RCW parities. Every other surviving parity is either
+//     read-modify-written (rmw: read once over the union of its changed
+//     inputs' ranges, updated with parity ^= new ^ old, written once)
+//     or reconstruct-written (rcw: its untouched inputs read whole, the
+//     parity recomputed from them and the new images). rcw is offered
+//     only to a parity the batch writes whole at two or more inputs,
+//     none partly and none on a failed disk. plan_repair's search
+//     (UnionChoice) picks the mix that fetches the fewest blocks, a
+//     cell the stripe cache holds (StripeCache::probe) priced as a
+//     fetch but not a disk read; ties keep rmw. A cell whose old image
+//     was read and whose bytes do not change is skipped.
 //   * Two-phase I/O. All reads (old images from the cache, by
 //     reconstruction, or from disk; then parity pre-reads) are retried
 //     and happen before any write, so a failed read leaves the stripe
@@ -151,9 +158,11 @@ class ArrayController {
   /// Write-planner decision counters, maintained only while
   /// obs::metrics_enabled(). Per stripe write: full_stripe_writes when
   /// the batch covers every data cell whole (one encode()), else
-  /// partial_stripe_writes. Per parity: direct_parities (recomputed, no
-  /// pre-read) or rmw_parities (read-modify-written); delta_parities is
-  /// the part of rmw_parities updated over less than a whole block.
+  /// partial_stripe_writes. Per parity: direct_parities (every input
+  /// covered whole, recomputed with no pre-read), rmw_parities
+  /// (read-modify-written) or rcw_parities (reconstruct-written from its
+  /// untouched inputs); delta_parities is the part of rmw_parities
+  /// updated over less than a whole block.
   /// subblock_writes counts entries shorter than a block. ranged_reads
   /// and ranged_writes count batched (span and count-form) calls.
   struct PlannerCounters {
@@ -163,6 +172,7 @@ class ArrayController {
     std::uint64_t partial_stripe_writes = 0;
     std::uint64_t direct_parities = 0;
     std::uint64_t rmw_parities = 0;
+    std::uint64_t rcw_parities = 0;
     std::uint64_t subblock_writes = 0;
     std::uint64_t delta_parities = 0;
   };
@@ -365,6 +375,7 @@ class ArrayController {
   obs::Counter partial_stripe_writes_;
   obs::Counter direct_parities_;
   obs::Counter rmw_parities_;
+  obs::Counter rcw_parities_;
   obs::Counter subblock_writes_;
   obs::Counter delta_parities_;
   obs::Histogram read_latency_us_;

@@ -895,8 +895,9 @@ bool OnlineMigrator::verify_raid6() const {
     for (int c = 0; c <= p - 1; ++c) {
       const auto col = array_.raw_blocks(c, g * (p - 1), p - 1);
       for (int r = 0; r <= p - 2; ++r) {
-        std::ranges::copy(col.subspan(static_cast<std::size_t>(r) * bs, bs),
-                          v.block({r, c}).begin());
+        const auto dst = v.block({r, c});
+        std::memcpy(dst.data(), col.data() + static_cast<std::size_t>(r) * bs,
+                    dst.size());
       }
     }
     if (!code_.verify(v)) return false;

@@ -45,6 +45,18 @@ bool StripeCache::lookup(std::int64_t stripe, int cell,
   return true;
 }
 
+void StripeCache::probe(std::int64_t stripe,
+                        std::span<std::uint64_t> valid) const {
+  assert(valid.size() == valid_words_);
+  std::lock_guard lk(mu_);
+  const auto it = index_.find(stripe);
+  if (it == index_.end()) {
+    std::fill(valid.begin(), valid.end(), 0);
+  } else {
+    std::copy_n(it->second->valid, valid_words_, valid.begin());
+  }
+}
+
 void StripeCache::fill(std::int64_t stripe, int cell,
                        std::span<const std::uint8_t> in) {
   assert(stripe >= 0 && "StripeCache keys are non-negative stripe indices");

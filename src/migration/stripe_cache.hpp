@@ -18,6 +18,10 @@
 // on fail_disk/rebuild_disk and exposes invalidate_cache() for external
 // writers).
 //
+// probe() reports which data cells of a stripe are cached without
+// copying or touching anything; the write planner prices its reads with
+// it. It is a hint only: what it reports may be evicted before lookup().
+//
 // Thread safety: one mutex guards the LRU, the index and every copy, so
 // concurrent lookup/fill/invalidate from any number of threads is safe
 // and a block is only ever copied whole (no torn block is visible).
@@ -51,6 +55,14 @@ class StripeCache {
   /// Copy the cached value of (stripe, cell) into `out` and refresh
   /// its LRU position. False (and no copy) when the block is absent.
   bool lookup(std::int64_t stripe, int cell, std::span<std::uint8_t> out);
+
+  /// Which data cells of `stripe` are cached: bit i of `valid` (64 cells
+  /// per word, valid_words() words) is set for each cached cell i. Takes
+  /// the lock once, copies no block and counts or touches nothing, so it
+  /// is only a hint: a cell it reports may be evicted before its
+  /// lookup(), which then misses as usual.
+  void probe(std::int64_t stripe, std::span<std::uint64_t> valid) const;
+  std::size_t valid_words() const { return valid_words_; }
 
   /// Install the block's current value (insert-or-update + LRU touch),
   /// recycling the least recently used slot when the stripe is absent.

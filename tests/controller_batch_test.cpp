@@ -251,6 +251,209 @@ TEST(BatchPlanner, FullRowWriteSkipsCoveredParityPreread) {
   }
 }
 
+/// Arms the planner counters for one test body.
+struct MetricsOn {
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(false); }
+};
+
+void expect_disks_identical(const DiskArray& a, const DiskArray& b) {
+  for (int d = 0; d < a.disks(); ++d) {
+    const auto x = a.raw_blocks(d, 0, a.blocks_per_disk());
+    const auto y = b.raw_blocks(d, 0, b.blocks_per_disk());
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin()))
+        << "disk " << d << " diverged";
+  }
+}
+
+/// Reconstruct-write lockdown: random write_range batches (whole-block
+/// runs, scattered blocks, repeated cells and sub-block entries, mixed)
+/// against the same entries applied one by one, which the planner
+/// always read-modify-writes. Every zoo code, healthy and with a data or
+/// a parity disk failed, with the cache off and with one smaller than
+/// the stripes a batch touches, so cells priced as cached are evicted
+/// before their lookup.
+enum class Lost { kNone, kData, kParity };
+
+struct RcwParam {
+  CodeId id;
+  int p;
+  Lost lost;
+  std::size_t cache;  // stripes, 0 = off
+};
+
+class RcwDifferentialTest : public ::testing::TestWithParam<RcwParam> {};
+
+TEST_P(RcwDifferentialTest, RandomBatchesMatchThePerEntryReference) {
+  const RcwParam& prm = GetParam();
+  const MetricsOn metrics;
+  auto code = make_code(prm.id, prm.p);
+  // The data disk holds the first data cell; the parity disk holds the
+  // last parity (a parity-only column on the column-parity codes).
+  int disk = -1;
+  for (int r = 0; r < code->rows() && disk < 0; ++r) {
+    for (int c = 0; c < code->cols() && disk < 0; ++c) {
+      if (code->kind({r, c}) == CellKind::kData) disk = c;
+    }
+  }
+  if (prm.lost == Lost::kParity) {
+    disk = code->expanded_chains().back().parity.col;
+  }
+  const std::int64_t bpd = kStripes * code->rows();
+  DiskArray array(code->cols(), bpd, kBlock), ref_array(code->cols(), bpd,
+                                                         kBlock);
+  ArrayController ctrl(array, std::move(code));
+  ArrayController ref(ref_array, make_code(prm.id, prm.p));
+  const std::int64_t total = ctrl.logical_blocks();
+  const std::int64_t per = total / kStripes;
+  Rng rng(0x5C5 + static_cast<std::uint64_t>(prm.p));
+  Buffer pool(static_cast<std::size_t>(8 * per + 16) * kBlock);
+  rng.fill(pool.data(), static_cast<std::size_t>(total) * kBlock);
+  ctrl.write(0, total, pool.span().subspan(0, total * kBlock));
+  ref.write(0, total, pool.span().subspan(0, total * kBlock));
+  if (prm.lost != Lost::kNone) {
+    ctrl.fail_disk(disk);
+    ref.fail_disk(disk);
+  }
+  ctrl.set_cache_stripes(prm.cache);
+
+  const auto pick = [&](std::int64_t n) {
+    return static_cast<std::int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  std::vector<ArrayController::SubWrite> batch;
+  for (int round = 0; round < 150; ++round) {
+    batch.clear();
+    std::size_t used = 0;
+    const auto bytes = [&](std::size_t n) {
+      const std::span<const std::uint8_t> out = pool.span().subspan(used, n);
+      rng.fill(pool.data() + used, n);
+      used += n;
+      return out;
+    };
+    for (std::int64_t piece = 1 + pick(4); piece > 0; --piece) {
+      switch (pick(4)) {
+        case 0: {  // a whole-block run over up to two stripes
+          const std::int64_t n = 1 + pick(2 * per);
+          const std::int64_t l = pick(total - n + 1);
+          for (std::int64_t k = 0; k < n; ++k) {
+            batch.push_back({l + k, 0, bytes(kBlock)});
+          }
+          break;
+        }
+        case 1: {  // scattered whole blocks of one stripe, maybe repeated
+          const std::int64_t s = pick(kStripes);
+          for (std::int64_t n = 1 + pick(per); n > 0; --n) {
+            batch.push_back({s * per + pick(per), 0, bytes(kBlock)});
+          }
+          break;
+        }
+        case 2: {  // one cell twice: whole, then whole or part of it
+          const std::int64_t l = pick(total);
+          const std::int64_t off = pick(kBlock);
+          batch.push_back({l, 0, bytes(kBlock)});
+          batch.push_back({l, off % 2 ? 0 : off,
+                           bytes(off % 2 ? kBlock : kBlock - off)});
+          break;
+        }
+        default: {  // a sub-block entry
+          const std::int64_t off = pick(kBlock);
+          batch.push_back({pick(total), off,
+                           bytes(static_cast<std::size_t>(
+                               1 + pick(static_cast<std::int64_t>(kBlock) -
+                                        off)))});
+          break;
+        }
+      }
+    }
+    ctrl.write_range(batch);
+    for (const ArrayController::SubWrite& w : batch) {
+      ref.write_range(w.logical, w.offset, w.data);
+    }
+  }
+  expect_disks_identical(array, ref_array);
+  // Reads go through the cache, which rcw fills with untouched cells.
+  Buffer got(kBlock), want(kBlock);
+  for (std::int64_t l = 0; l < total; ++l) {
+    ctrl.read(l, got.span());
+    ref.read(l, want.span());
+    ASSERT_TRUE(std::equal(got.span().begin(), got.span().end(),
+                           want.data()))
+        << "read diverged at logical " << l;
+  }
+  if (prm.lost != Lost::kNone) {
+    ctrl.rebuild_disk(disk);
+    ref.rebuild_disk(disk);
+    expect_disks_identical(array, ref_array);
+  }
+  EXPECT_TRUE(ctrl.scrub().empty());
+  // rcw is open to a surviving parity with three or more inputs, none on
+  // the failed disk (with two, two whole inputs make it direct).
+  bool rcw_open = false;
+  for (const ParityChain& ch : ctrl.code().expanded_chains()) {
+    const auto on_lost = [&](Cell c) {
+      return prm.lost != Lost::kNone && c.col == disk;
+    };
+    rcw_open = rcw_open || (ch.inputs.size() >= 3 && !on_lost(ch.parity) &&
+                            std::ranges::none_of(ch.inputs, on_lost));
+  }
+  EXPECT_EQ(ctrl.planner_counters().rcw_parities > 0, rcw_open);
+  EXPECT_EQ(ref.planner_counters().rcw_parities, 0u);
+}
+
+std::vector<RcwParam> rcw_params() {
+  std::vector<RcwParam> out;
+  for (CodeId id : all_code_ids()) {
+    for (Lost lost : {Lost::kNone, Lost::kData, Lost::kParity}) {
+      for (std::size_t cache : {std::size_t{0}, std::size_t{2}}) {
+        out.push_back({id, 5, lost, cache});
+        if (id == CodeId::kCode56) out.push_back({id, 7, lost, cache});
+      }
+    }
+  }
+  return out;
+}
+
+std::string rcw_name(const ::testing::TestParamInfo<RcwParam>& info) {
+  std::string n = to_string(info.param.id);
+  for (char& c : n) {
+    if (c == ' ' || c == '-') c = '_';
+  }
+  static constexpr const char* kLost[] = {"healthy", "data_lost",
+                                          "parity_lost"};
+  return n + "_p" + std::to_string(info.param.p) + "_" +
+         kLost[static_cast<int>(info.param.lost)] + "_cache" +
+         std::to_string(info.param.cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, RcwDifferentialTest,
+                         ::testing::ValuesIn(rcw_params()), rcw_name);
+
+/// A single-entry write never reconstruct-writes: rcw needs two whole
+/// inputs of one parity, so Table III's single-block cost and the
+/// idempotent-write shortcut stay as they were.
+TEST(RcwPlanner, SingleBlockWritesNeverReconstruct) {
+  const MetricsOn metrics;
+  for (CodeId id : all_code_ids()) {
+    auto code = make_code(id, 5);
+    DiskArray array(code->cols(), 2LL * code->rows(), kBlock);
+    ArrayController ctrl(array, std::move(code));
+    ctrl.set_cache_stripes(1);
+    Rng rng(static_cast<std::uint64_t>(id) + 1);
+    Buffer buf(kBlock);
+    for (std::int64_t l = 0; l < ctrl.logical_blocks(); ++l) {
+      rng.fill(buf.data(), kBlock);
+      ctrl.write(l, buf.span());
+      const std::uint64_t w0 = array.total_writes();
+      ctrl.write(l, buf.span());  // idempotent
+      EXPECT_EQ(array.total_writes(), w0) << to_string(id) << " " << l;
+    }
+    EXPECT_EQ(ctrl.planner_counters().rcw_parities, 0u) << to_string(id);
+    EXPECT_GT(ctrl.planner_counters().rmw_parities, 0u) << to_string(id);
+    EXPECT_TRUE(ctrl.scrub().empty()) << to_string(id);
+  }
+}
+
 /// Vectored DiskArray primitives: counter semantics and per-block fault
 /// behaviour of read_blocks/write_blocks.
 TEST(VectoredIo, CountsBlocksButOneRun) {

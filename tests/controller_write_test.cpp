@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,8 @@ enum class Shape {
   kSubWrite,           // write_range(l, 256, <512 B>)
   kSharedParityBatch,  // two overlapping-offset sub-writes, one parity
   kFullBlockRange,     // write_range(l, 0, <block>)
+  kHalfStripeHead,     // write(l, D/2) over the first D/2 data blocks
+  kHalfStripeTail,     // the rest, after the head, 1-stripe cache
 };
 
 struct IoShape {
@@ -40,6 +43,9 @@ struct Pin {
   State state;
   Shape shape;
   IoShape io;
+  // The same write under the planner that preceded reconstruct-write,
+  // where it differs; rows without one never moved.
+  std::optional<IoShape> parent = std::nullopt;
 };
 
 constexpr std::size_t kPinBlock = 1024;
@@ -48,7 +54,9 @@ constexpr std::size_t kPinBlock = 1024;
 // target is the first data block of stripe 1; the failed data disk is
 // the target's, the failed parity disk holds a parity it feeds. Runs
 // may only ever go down (a better planner batches more); every other
-// number is exact.
+// number is exact. The half-stripe shapes write D/2 whole blocks at
+// once, where reconstruct-write pays: a row with a `parent` reads
+// strictly less than that rmw-only planner did and writes the same.
 using enum CodeId;
 using enum State;
 using enum Shape;
@@ -60,6 +68,10 @@ const Pin kPins[] = {
     {kEvenOdd, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kEvenOdd, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
     {kEvenOdd, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kEvenOdd, kHealthy, kHalfStripeHead, {10, 16, 10240, 16384, 12},
+     IoShape{14, 16, 14336, 16384, 13}},
+    {kEvenOdd, kHealthy, kHalfStripeTail, {0, 16, 0, 16384, 7},
+     IoShape{14, 16, 14336, 16384, 13}},
     {kEvenOdd, kDataFailed, kBlock, {7, 2, 7168, 2048, 9}},
     {kEvenOdd, kDataFailed, kIdempotentBlock, {5, 0, 5120, 0, 5}},
     {kEvenOdd, kDataFailed, kRow, {13, 9, 13312, 9216, 16}},
@@ -67,6 +79,8 @@ const Pin kPins[] = {
     {kEvenOdd, kDataFailed, kSubWrite, {7, 2, 6144, 1024, 9}},
     {kEvenOdd, kDataFailed, kSharedParityBatch, {9, 4, 6784, 1664, 13}},
     {kEvenOdd, kDataFailed, kFullBlockRange, {7, 2, 7168, 2048, 9}},
+    {kEvenOdd, kDataFailed, kHalfStripeHead, {22, 14, 22528, 14336, 16}},
+    {kEvenOdd, kDataFailed, kHalfStripeTail, {22, 14, 22528, 14336, 16}},
     {kEvenOdd, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
     {kEvenOdd, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kEvenOdd, kParityFailed, kRow, {9, 9, 9216, 9216, 12}},
@@ -74,6 +88,10 @@ const Pin kPins[] = {
     {kEvenOdd, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
     {kEvenOdd, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
     {kEvenOdd, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kEvenOdd, kParityFailed, kHalfStripeHead, {10, 14, 10240, 14336, 11},
+     IoShape{14, 14, 14336, 14336, 12}},
+    {kEvenOdd, kParityFailed, kHalfStripeTail, {0, 14, 0, 14336, 6},
+     IoShape{14, 14, 14336, 14336, 12}},
     {kRdp, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
     {kRdp, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kRdp, kHealthy, kRow, {8, 9, 8192, 9216, 11}},
@@ -81,6 +99,10 @@ const Pin kPins[] = {
     {kRdp, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kRdp, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
     {kRdp, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kRdp, kHealthy, kHalfStripeHead, {8, 14, 8192, 14336, 10},
+     IoShape{12, 14, 12288, 14336, 11}},
+    {kRdp, kHealthy, kHalfStripeTail, {0, 14, 0, 14336, 6},
+     IoShape{12, 14, 12288, 14336, 11}},
     {kRdp, kDataFailed, kBlock, {6, 2, 6144, 2048, 8}},
     {kRdp, kDataFailed, kIdempotentBlock, {4, 0, 4096, 0, 4}},
     {kRdp, kDataFailed, kRow, {11, 8, 11264, 8192, 13}},
@@ -88,6 +110,8 @@ const Pin kPins[] = {
     {kRdp, kDataFailed, kSubWrite, {6, 2, 5120, 1024, 8}},
     {kRdp, kDataFailed, kSharedParityBatch, {8, 4, 5760, 1664, 12}},
     {kRdp, kDataFailed, kFullBlockRange, {6, 2, 6144, 2048, 8}},
+    {kRdp, kDataFailed, kHalfStripeHead, {18, 12, 18432, 12288, 13}},
+    {kRdp, kDataFailed, kHalfStripeTail, {18, 12, 18432, 12288, 13}},
     {kRdp, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
     {kRdp, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kRdp, kParityFailed, kRow, {8, 8, 8192, 8192, 10}},
@@ -95,6 +119,10 @@ const Pin kPins[] = {
     {kRdp, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
     {kRdp, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
     {kRdp, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kRdp, kParityFailed, kHalfStripeHead, {8, 12, 8192, 12288, 9},
+     IoShape{12, 12, 12288, 12288, 10}},
+    {kRdp, kParityFailed, kHalfStripeTail, {0, 12, 0, 12288, 5},
+     IoShape{12, 12, 12288, 12288, 10}},
     {kHCode, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
     {kHCode, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kHCode, kHealthy, kRow, {8, 9, 8192, 9216, 16}},
@@ -102,6 +130,10 @@ const Pin kPins[] = {
     {kHCode, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kHCode, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
     {kHCode, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kHCode, kHealthy, kHalfStripeHead, {8, 14, 8192, 14336, 12},
+     IoShape{12, 14, 12288, 14336, 16}},
+    {kHCode, kHealthy, kHalfStripeTail, {0, 14, 0, 14336, 7},
+     IoShape{12, 14, 12288, 14336, 16}},
     {kHCode, kDataFailed, kBlock, {6, 2, 6144, 2048, 8}},
     {kHCode, kDataFailed, kIdempotentBlock, {4, 0, 4096, 0, 4}},
     {kHCode, kDataFailed, kRow, {11, 8, 11264, 8192, 18}},
@@ -109,6 +141,8 @@ const Pin kPins[] = {
     {kHCode, kDataFailed, kSubWrite, {6, 2, 5120, 1024, 8}},
     {kHCode, kDataFailed, kSharedParityBatch, {8, 4, 5760, 1664, 12}},
     {kHCode, kDataFailed, kFullBlockRange, {6, 2, 6144, 2048, 8}},
+    {kHCode, kDataFailed, kHalfStripeHead, {18, 12, 18432, 12288, 19}},
+    {kHCode, kDataFailed, kHalfStripeTail, {18, 12, 18432, 12288, 19}},
     {kHCode, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
     {kHCode, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kHCode, kParityFailed, kRow, {8, 8, 8192, 8192, 15}},
@@ -116,6 +150,10 @@ const Pin kPins[] = {
     {kHCode, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
     {kHCode, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
     {kHCode, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kHCode, kParityFailed, kHalfStripeHead, {8, 12, 8192, 12288, 11},
+     IoShape{12, 12, 12288, 12288, 15}},
+    {kHCode, kParityFailed, kHalfStripeTail, {0, 12, 0, 12288, 6},
+     IoShape{12, 12, 12288, 12288, 15}},
     {kXCode, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
     {kXCode, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kXCode, kHealthy, kRow, {15, 15, 15360, 15360, 20}},
@@ -123,6 +161,10 @@ const Pin kPins[] = {
     {kXCode, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kXCode, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
     {kXCode, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kXCode, kHealthy, kHalfStripeHead, {15, 17, 15360, 17408, 23},
+     IoShape{17, 17, 17408, 17408, 20}},
+    {kXCode, kHealthy, kHalfStripeTail, {4, 18, 4096, 18432, 8},
+     IoShape{18, 18, 18432, 18432, 15}},
     {kXCode, kDataFailed, kBlock, {5, 2, 5120, 2048, 7}},
     {kXCode, kDataFailed, kIdempotentBlock, {3, 0, 3072, 0, 3}},
     {kXCode, kDataFailed, kRow, {15, 12, 15360, 12288, 19}},
@@ -130,6 +172,9 @@ const Pin kPins[] = {
     {kXCode, kDataFailed, kSubWrite, {5, 2, 4096, 1024, 7}},
     {kXCode, kDataFailed, kSharedParityBatch, {7, 4, 4736, 1664, 11}},
     {kXCode, kDataFailed, kFullBlockRange, {5, 2, 5120, 2048, 7}},
+    {kXCode, kDataFailed, kHalfStripeHead, {19, 13, 19456, 13312, 20}},
+    {kXCode, kDataFailed, kHalfStripeTail, {14, 15, 14336, 15360, 15},
+     IoShape{18, 15, 18432, 15360, 15}},
     {kXCode, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
     {kXCode, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kXCode, kParityFailed, kRow, {15, 12, 15360, 12288, 19}},
@@ -137,6 +182,10 @@ const Pin kPins[] = {
     {kXCode, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
     {kXCode, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
     {kXCode, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kXCode, kParityFailed, kHalfStripeHead, {15, 14, 15360, 14336, 21},
+     IoShape{17, 14, 17408, 14336, 19}},
+    {kXCode, kParityFailed, kHalfStripeTail, {18, 14, 18432, 14336, 14},
+     IoShape{20, 14, 20480, 14336, 16}},
     {kPCode, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
     {kPCode, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kPCode, kHealthy, kRow, {0, 0, 0, 0, 0}},
@@ -144,6 +193,8 @@ const Pin kPins[] = {
     {kPCode, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kPCode, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
     {kPCode, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kPCode, kHealthy, kHalfStripeHead, {4, 5, 4096, 5120, 8}},
+    {kPCode, kHealthy, kHalfStripeTail, {4, 5, 4096, 5120, 8}},
     {kPCode, kDataFailed, kBlock, {4, 2, 4096, 2048, 6}},
     {kPCode, kDataFailed, kIdempotentBlock, {2, 0, 2048, 0, 2}},
     {kPCode, kDataFailed, kRow, {0, 0, 0, 0, 0}},
@@ -151,6 +202,8 @@ const Pin kPins[] = {
     {kPCode, kDataFailed, kSubWrite, {4, 2, 3072, 1024, 6}},
     {kPCode, kDataFailed, kSharedParityBatch, {5, 3, 3456, 1408, 8}},
     {kPCode, kDataFailed, kFullBlockRange, {4, 2, 4096, 2048, 6}},
+    {kPCode, kDataFailed, kHalfStripeHead, {3, 3, 3072, 3072, 6}},
+    {kPCode, kDataFailed, kHalfStripeTail, {2, 4, 2048, 4096, 5}},
     {kPCode, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
     {kPCode, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kPCode, kParityFailed, kRow, {0, 0, 0, 0, 0}},
@@ -158,6 +211,8 @@ const Pin kPins[] = {
     {kPCode, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
     {kPCode, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
     {kPCode, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kPCode, kParityFailed, kHalfStripeHead, {4, 4, 4096, 4096, 7}},
+    {kPCode, kParityFailed, kHalfStripeTail, {5, 4, 5120, 4096, 8}},
     {kHdp, kHealthy, kBlock, {4, 4, 4096, 4096, 8}},
     {kHdp, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kHdp, kHealthy, kRow, {7, 7, 7168, 7168, 12}},
@@ -165,6 +220,10 @@ const Pin kPins[] = {
     {kHdp, kHealthy, kSubWrite, {4, 4, 2048, 2048, 8}},
     {kHdp, kHealthy, kSharedParityBatch, {6, 6, 2816, 2816, 12}},
     {kHdp, kHealthy, kFullBlockRange, {4, 4, 4096, 4096, 8}},
+    {kHdp, kHealthy, kHalfStripeHead, {9, 11, 9216, 11264, 13},
+     IoShape{10, 11, 10240, 11264, 14}},
+    {kHdp, kHealthy, kHalfStripeTail, {3, 11, 3072, 11264, 8},
+     IoShape{10, 11, 10240, 11264, 14}},
     {kHdp, kDataFailed, kBlock, {4, 2, 4096, 2048, 6}},
     {kHdp, kDataFailed, kIdempotentBlock, {2, 0, 2048, 0, 2}},
     {kHdp, kDataFailed, kRow, {7, 5, 7168, 5120, 11}},
@@ -172,6 +231,9 @@ const Pin kPins[] = {
     {kHdp, kDataFailed, kSubWrite, {4, 2, 3072, 1024, 6}},
     {kHdp, kDataFailed, kSharedParityBatch, {6, 4, 3712, 1664, 10}},
     {kHdp, kDataFailed, kFullBlockRange, {4, 2, 4096, 2048, 6}},
+    {kHdp, kDataFailed, kHalfStripeHead, {9, 8, 9216, 8192, 13}},
+    {kHdp, kDataFailed, kHalfStripeTail, {8, 8, 8192, 8192, 13},
+     IoShape{9, 8, 9216, 8192, 13}},
     {kHdp, kParityFailed, kBlock, {3, 3, 3072, 3072, 6}},
     {kHdp, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kHdp, kParityFailed, kRow, {7, 5, 7168, 5120, 11}},
@@ -179,6 +241,8 @@ const Pin kPins[] = {
     {kHdp, kParityFailed, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kHdp, kParityFailed, kSharedParityBatch, {4, 4, 1920, 1920, 8}},
     {kHdp, kParityFailed, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kHdp, kParityFailed, kHalfStripeHead, {9, 8, 9216, 8192, 13}},
+    {kHdp, kParityFailed, kHalfStripeTail, {9, 8, 9216, 8192, 13}},
     {kCode56, kHealthy, kBlock, {3, 3, 3072, 3072, 6}},
     {kCode56, kHealthy, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kCode56, kHealthy, kRow, {6, 7, 6144, 7168, 9}},
@@ -186,6 +250,10 @@ const Pin kPins[] = {
     {kCode56, kHealthy, kSubWrite, {3, 3, 1536, 1536, 6}},
     {kCode56, kHealthy, kSharedParityBatch, {5, 5, 2176, 2176, 10}},
     {kCode56, kHealthy, kFullBlockRange, {3, 3, 3072, 3072, 6}},
+    {kCode56, kHealthy, kHalfStripeHead, {6, 12, 6144, 12288, 10},
+     IoShape{10, 12, 10240, 12288, 10}},
+    {kCode56, kHealthy, kHalfStripeTail, {2, 12, 2048, 12288, 6},
+     IoShape{10, 12, 10240, 12288, 10}},
     {kCode56, kDataFailed, kBlock, {5, 2, 5120, 2048, 7}},
     {kCode56, kDataFailed, kIdempotentBlock, {3, 0, 3072, 0, 3}},
     {kCode56, kDataFailed, kRow, {8, 6, 8192, 6144, 10}},
@@ -193,6 +261,9 @@ const Pin kPins[] = {
     {kCode56, kDataFailed, kSubWrite, {5, 2, 4096, 1024, 7}},
     {kCode56, kDataFailed, kSharedParityBatch, {7, 4, 4736, 1664, 11}},
     {kCode56, kDataFailed, kFullBlockRange, {5, 2, 5120, 2048, 7}},
+    {kCode56, kDataFailed, kHalfStripeHead, {14, 10, 14336, 10240, 11}},
+    {kCode56, kDataFailed, kHalfStripeTail, {9, 10, 9216, 10240, 10},
+     IoShape{12, 10, 12288, 10240, 11}},
     {kCode56, kParityFailed, kBlock, {2, 2, 2048, 2048, 4}},
     {kCode56, kParityFailed, kIdempotentBlock, {1, 0, 1024, 0, 1}},
     {kCode56, kParityFailed, kRow, {6, 6, 6144, 6144, 8}},
@@ -200,6 +271,10 @@ const Pin kPins[] = {
     {kCode56, kParityFailed, kSubWrite, {2, 2, 1024, 1024, 4}},
     {kCode56, kParityFailed, kSharedParityBatch, {4, 4, 1536, 1536, 8}},
     {kCode56, kParityFailed, kFullBlockRange, {2, 2, 2048, 2048, 4}},
+    {kCode56, kParityFailed, kHalfStripeHead, {10, 10, 10240, 10240, 10},
+     IoShape{12, 10, 12288, 10240, 11}},
+    {kCode56, kParityFailed, kHalfStripeTail, {13, 10, 13312, 10240, 10},
+     IoShape{14, 10, 14336, 10240, 11}},
 };
 
 const char* name(State s) {
@@ -220,6 +295,8 @@ const char* name(Shape s) {
     case Shape::kSubWrite: return "kSubWrite";
     case Shape::kSharedParityBatch: return "kSharedParityBatch";
     case Shape::kFullBlockRange: return "kFullBlockRange";
+    case Shape::kHalfStripeHead: return "kHalfStripeHead";
+    case Shape::kHalfStripeTail: return "kHalfStripeTail";
   }
   return "?";
 }
@@ -281,6 +358,13 @@ IoShape measure(CodeId id, State state, Shape shape) {
   if (shape == Shape::kIdempotentBlock) {
     ctrl.read(base, in.span().subspan(0, kPinBlock));
   }
+  const std::int64_t half = per / 2;
+  const std::size_t head_bytes = static_cast<std::size_t>(half) * kPinBlock;
+  if (shape == Shape::kHalfStripeTail) {
+    ctrl.set_cache_stripes(1);
+    ctrl.write(base, half, in.span().subspan(0, head_bytes));
+    rng.fill(in.data(), in.size());
+  }
   const IoShape before = totals(array);
   switch (shape) {
     case Shape::kBlock:
@@ -307,6 +391,12 @@ IoShape measure(CodeId id, State state, Shape shape) {
     case Shape::kFullBlockRange:
       ctrl.write_range(base, 0, in.span().subspan(0, kPinBlock));
       break;
+    case Shape::kHalfStripeHead:
+      ctrl.write(base, half, in.span().subspan(0, head_bytes));
+      break;
+    case Shape::kHalfStripeTail:
+      ctrl.write(base + half, per - half, in.span().subspan(head_bytes));
+      break;
   }
   const IoShape after = totals(array);
   if (state == State::kHealthy) {
@@ -325,7 +415,8 @@ TEST(WriteIoPins, EveryShapeOnEveryCode) {
       for (Shape shape :
            {Shape::kBlock, Shape::kIdempotentBlock, Shape::kRow,
             Shape::kFullStripe, Shape::kSubWrite, Shape::kSharedParityBatch,
-            Shape::kFullBlockRange}) {
+            Shape::kFullBlockRange, Shape::kHalfStripeHead,
+            Shape::kHalfStripeTail}) {
         const IoShape got = measure(id, state, shape);
         const auto it = std::find_if(
             std::begin(kPins), std::end(kPins), [&](const Pin& p) {
@@ -352,6 +443,11 @@ TEST(WriteIoPins, EveryShapeOnEveryCode) {
         EXPECT_EQ(got.read_bytes, it->io.read_bytes) << where;
         EXPECT_EQ(got.write_bytes, it->io.write_bytes) << where;
         EXPECT_LE(got.runs, it->io.runs) << where;
+        if (it->parent) {
+          EXPECT_LT(it->io.reads, it->parent->reads) << where;
+          EXPECT_EQ(it->io.writes, it->parent->writes) << where;
+          EXPECT_EQ(it->io.write_bytes, it->parent->write_bytes) << where;
+        }
       }
     }
   }

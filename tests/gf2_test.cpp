@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "gf2/bitmatrix.hpp"
 #include "gf2/chain_solver.hpp"
 
@@ -176,6 +179,58 @@ TEST(RepairPlan, ExhaustiveUpToTwoToTheSixteenStatesThenGreedy) {
   EXPECT_EQ(reads_with_padding(0), 1u);
   EXPECT_EQ(reads_with_padding(14), 15u);  // 2^16 states: exhaustive
   EXPECT_EQ(reads_with_padding(15), 17u);  // 2^17 states: greedy
+}
+
+TEST(UnionChoice, MatchesTheFirstLightestOdometerVector) {
+  // Random instances against a plain odometer: the cut search must pick
+  // the same vector, ties included (weights 0..3 make many).
+  std::uint64_t seed = 0x5EA2C4;
+  const auto next = [&seed](std::uint64_t n) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>((seed >> 33) % n);
+  };
+  UnionChoice pick;
+  for (int round = 0; round < 300; ++round) {
+    const int cells = 2 + next(14);
+    std::vector<int> weight(static_cast<std::size_t>(cells));
+    for (int& w : weight) w = next(4);
+    pick.clear();
+    const int targets = 1 + next(9);
+    for (int t = 0; t < targets; ++t) {
+      pick.add_target();
+      for (int o = 1 + next(3); o > 0; --o) {
+        pick.add_option();
+        for (int n = next(5); n > 0; --n) pick.add_cell(next(cells));
+      }
+    }
+    const auto weigh = [&](const std::vector<std::size_t>& choice) {
+      std::vector<char> in(weight.size(), 0);
+      int sum = 0;
+      for (std::size_t t = 0; t < choice.size(); ++t) {
+        for (int c : pick.cells(t, choice[t])) {
+          if (!in[static_cast<std::size_t>(c)]++) sum += weight[c];
+        }
+      }
+      return sum;
+    };
+    std::vector<std::size_t> choice(pick.targets(), 0), best = choice;
+    int best_sum = weigh(choice);
+    for (;;) {
+      std::size_t i = 0;
+      while (i < choice.size() && choice[i] + 1 == pick.options(i)) {
+        choice[i++] = 0;
+      }
+      if (i == choice.size()) break;
+      ++choice[i];
+      if (const int sum = weigh(choice); sum < best_sum) {
+        best_sum = sum;
+        best = choice;
+      }
+    }
+    const std::span<const std::size_t> got = pick.solve(weight);
+    EXPECT_EQ(std::vector<std::size_t>(got.begin(), got.end()), best)
+        << "round " << round;
+  }
 }
 
 }  // namespace

@@ -841,7 +841,8 @@ TEST(Service, MetricsExportCarriesVolumeTenantShardLabels) {
         "service_queued{shard=\"0\"}", "service_queued{shard=\"1\"}",
         "disk_array_writes_total{volume=\"0\"}",
         "disk_array_writes{disk=\"0\",volume=\"1\"}",
-        "controller_rmw_parities{volume=\"0\"}"}) {
+        "controller_rmw_parities{volume=\"0\"}",
+        "controller_rcw_parities{volume=\"0\"}"}) {
     EXPECT_NE(snap.find(name), nullptr) << name;
   }
   const auto* ops0 = snap.find("service_ops{volume=\"0\"}");
