@@ -31,13 +31,18 @@
 // the same reads with the cache off. A fourth pins the write planner's
 // disk traffic: sequential 16-block writes over the same array, cache
 // off and 16-stripe cache, may read no more blocks and must write
-// exactly as many as pinned (measure_planner_io). The process exits
-// non-zero if any gate fails — CI runs this with --smoke as a perf regression
-// tripwire. The report embeds a registry snapshot of the attached
-// controller under "metrics_snapshot".
+// exactly as many as pinned (measure_planner_io). A fifth pins what
+// the stripe cache saves on skewed traffic: a Zipf(0.99) stream of
+// single-block reads and writes through a 16-stripe cache may read no
+// more blocks and must write exactly as many as pinned
+// (measure_zipf_io). The process exits non-zero if any gate fails — CI
+// runs this with --smoke as a perf regression tripwire. The report
+// embeds a registry snapshot of the attached controller under
+// "metrics_snapshot".
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -419,6 +424,79 @@ PlannerIo measure_planner_io(std::size_t cache_stripes) {
           array.total_writes() - w0};
 }
 
+/// Cache-read gate: a seeded Zipf(0.99) stream of single-block requests
+/// mixed like perfbench's rand_4k (70% 4 KiB reads, 15% 4 KiB writes,
+/// 15% 512 B write_range) over one Code 5-6 p = 7 controller, 4 KiB
+/// blocks, 70 stripes, 16-stripe cache. Rank r is logical block r, so
+/// the hot set is the first stripes. A prefill writes every block once
+/// with the cache off; then 200,000 counted requests run from an empty
+/// cache. Plain LRU, which let every one-off miss push out a hot
+/// stripe, read 211,047 blocks (1.0552 per request, hit ratio 0.5404).
+/// Insertion at the cold end must keep reads at or under the pin, and
+/// writes exactly at theirs: the cache saves reads only.
+struct ZipfIo {
+  std::uint64_t ops = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  double hit_ratio = 0;
+  double per(std::uint64_t n) const {
+    return static_cast<double>(n) / static_cast<double>(ops);
+  }
+};
+
+constexpr std::uint64_t kZipfOps = 200000;
+constexpr std::uint64_t kZipfReads = 168678;   // 0.8434 per request
+constexpr std::uint64_t kZipfWrites = 178698;  // 0.8935 per request
+
+ZipfIo measure_zipf_io() {
+  constexpr int kGateP = 7;
+  constexpr std::int64_t kGateStripes = 70;
+  constexpr std::size_t kGateCache = 16;
+  auto code = c56::make_code(c56::CodeId::kCode56, kGateP);
+  c56::mig::DiskArray array(code->cols(), kGateStripes * code->rows(),
+                            kBlock);
+  c56::mig::ArrayController ctrl(array, std::move(code));
+  const std::int64_t blocks = ctrl.logical_blocks();
+  std::vector<double> cdf(static_cast<std::size_t>(blocks));
+  double total = 0;
+  for (std::int64_t r = 0; r < blocks; ++r) {
+    total += 1.0 / std::pow(static_cast<double>(r + 1), 0.99);
+    cdf[static_cast<std::size_t>(r)] = total;
+  }
+  c56::Rng rng(9001);
+  c56::Buffer pay(kBlock), out(kBlock);
+  for (std::int64_t l = 0; l < blocks; ++l) {
+    rng.fill(pay.data(), kBlock);
+    ctrl.write(l, pay.span());
+  }
+  ctrl.set_cache_stripes(kGateCache);
+  const auto s0 = ctrl.cache_stats();
+  const std::uint64_t r0 = array.total_reads();
+  const std::uint64_t w0 = array.total_writes();
+  for (std::uint64_t i = 0; i < kZipfOps; ++i) {
+    const std::int64_t l = std::min<std::int64_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), rng.next_double() * total) -
+            cdf.begin(),
+        blocks - 1);
+    const double mix = rng.next_double();
+    if (mix < 0.70) {
+      ctrl.read(l, out.span());
+    } else if (mix < 0.85) {
+      rng.fill(pay.data(), kBlock);
+      ctrl.write(l, pay.span());
+    } else {
+      const auto off = static_cast<std::int64_t>(512 * rng.next_below(8));
+      rng.fill(pay.data(), 512);
+      ctrl.write_range(l, off, pay.span().subspan(0, 512));
+    }
+  }
+  const auto s1 = ctrl.cache_stats();
+  const std::uint64_t hits = s1.hits - s0.hits;
+  const std::uint64_t looks = hits + s1.misses - s0.misses;
+  return {kZipfOps, array.total_reads() - r0, array.total_writes() - w0,
+          looks ? static_cast<double>(hits) / static_cast<double>(looks) : 0};
+}
+
 std::string flags(const Config& c) {
   std::string s = c.degraded ? "degraded" : "healthy";
   s += c.cached ? "+cache" : "";
@@ -558,6 +636,9 @@ int main(int argc, char** argv) {
                        io_off.writes == kPlannerWrites &&
                        io_on.writes == kPlannerWrites;
   const bool churn_pass = churn.ratio <= 4.0;
+  const ZipfIo zipf = measure_zipf_io();
+  const bool zipf_pass =
+      zipf.reads <= kZipfReads && zipf.writes == kZipfWrites;
 
   json << "  ],\n  \"gate\": {\"workload\": \"seq full-stripe write, "
           "healthy, cache off\", \"per_block_mbps\": "
@@ -593,6 +674,14 @@ int main(int argc, char** argv) {
        << ", \"criteria\": \"reads <= " << kPlannerReadsCacheOff << " / "
        << kPlannerReadsCacheOn << ", writes == " << kPlannerWrites
        << "\", \"pass\": " << (io_pass ? "true" : "false") << "},\n"
+       << "  \"cache_reads\": {\"workload\": \"Zipf(0.99) single-block "
+          "reads/writes/512 B write_range, Code 5-6 p = 7, 70 stripes, "
+          "16-stripe cache\", \"requests\": "
+       << zipf.ops << ", \"hit_ratio\": " << zipf.hit_ratio
+       << ", \"reads\": " << zipf.reads << ", \"writes\": " << zipf.writes
+       << ", \"criteria\": \"reads <= " << kZipfReads << ", writes == "
+       << kZipfWrites << "\", \"pass\": " << (zipf_pass ? "true" : "false")
+       << "},\n"
        << "  \"metrics_snapshot\": " << ov.snapshot_json << "\n}\n";
 
   std::printf(
@@ -620,11 +709,18 @@ int main(int argc, char** argv) {
       io_on.per(io_on.reads), io_on.per(kPlannerReadsCacheOn),
       io_off.per(io_off.writes), io_on.per(io_on.writes),
       io_off.per(kPlannerWrites), io_pass ? "PASS" : "FAIL");
+  std::printf(
+      "cache reads (Zipf(0.99) single-block requests, p = 7, 70 stripes, "
+      "16-stripe cache): hit ratio %.4f, disk reads per request %.4f (need "
+      "<= %.4f), writes %.4f (need %.4f) -> %s\n",
+      zipf.hit_ratio, zipf.per(zipf.reads), zipf.per(kZipfReads),
+      zipf.per(zipf.writes), zipf.per(kZipfWrites),
+      zipf_pass ? "PASS" : "FAIL");
 
   if (FILE* f = std::fopen("BENCH_controller.json", "w")) {
     std::fputs(json.str().c_str(), f);
     std::fclose(f);
     std::printf("wrote BENCH_controller.json\n");
   }
-  return pass && ov_pass && churn_pass && io_pass ? 0 : 1;
+  return pass && ov_pass && churn_pass && io_pass && zipf_pass ? 0 : 1;
 }

@@ -58,10 +58,14 @@
 // C56_CACHE_STRIPES, default off) caches *data* cells, keyed by data
 // index, at their current logical value: reads fill it, writes update
 // it, so a hit never goes to disk. It is one preallocated slab of
-// min(n, stripes()) slots under one LRU and one mutex; a miss recycles
-// the coldest slot instead of allocating. fail_disk/rebuild_disk
-// invalidate it wholesale; external writers to the same DiskArray
-// (e.g. an online-migration hand-off) must call invalidate_cache().
+// min(n, stripes()) slots under one mutex; a miss recycles the coldest
+// slot instead of allocating. A newly cached stripe enters at the cold
+// end and only a second touch (a hit, or another fill, such as the next
+// cell of a multi-block request) promotes it, so one-off misses on
+// skewed traffic evict one another, not the hot set.
+// fail_disk/rebuild_disk invalidate it wholesale; external writers to
+// the same DiskArray (e.g. an online-migration hand-off) must call
+// invalidate_cache().
 
 #include <array>
 #include <cstdint>

@@ -23,8 +23,8 @@ StripeCache::StripeCache(std::size_t capacity_stripes, int cells_per_stripe,
                                                          slot_bytes);
   valid_.assign(capacity_stripes * valid_words_, 0);
   for (std::size_t i = 0; i < capacity_stripes; ++i) {
-    lru_.push_back({kFree, slab_.get() + i * slot_bytes,
-                    valid_.data() + i * valid_words_});
+    free_.push_back({.blocks = slab_.get() + i * slot_bytes,
+                     .valid = valid_.data() + i * valid_words_});
   }
   index_.reserve(capacity_stripes);
 }
@@ -40,7 +40,7 @@ bool StripeCache::lookup(std::int64_t stripe, int cell,
     return false;
   }
   std::memcpy(out.data(), block(*it->second, cell), block_bytes_);
-  lru_.splice(lru_.begin(), lru_, it->second);
+  used_.splice(used_.begin(), used_, it->second);
   ++stats_.hits;
   return true;
 }
@@ -62,24 +62,25 @@ void StripeCache::fill(std::int64_t stripe, int cell,
   assert(stripe >= 0 && "StripeCache keys are non-negative stripe indices");
   std::lock_guard lk(mu_);
   auto it = index_.find(stripe);
-  if (it == index_.end()) {
-    // Recycle the coldest slot: free slots sit at the tail, so a
-    // stripe is evicted only when every slot is taken.
-    const Lru::iterator victim = std::prev(lru_.end());
-    if (victim->stripe == kFree) {
-      it = index_.emplace(stripe, victim).first;
+  if (it != index_.end()) {
+    used_.splice(used_.begin(), used_, it->second);  // a later touch
+  } else {
+    // A newcomer enters at the cold end: in a free slot while there is
+    // one, else in the coldest slot, whose stripe it evicts.
+    if (!free_.empty()) {
+      used_.splice(used_.end(), free_, free_.begin());
+      it = index_.emplace(stripe, std::prev(used_.end())).first;
     } else {
-      auto node = index_.extract(victim->stripe);
+      auto node = index_.extract(used_.back().stripe);
       node.key() = stripe;
       it = index_.insert(std::move(node)).position;
       ++stats_.evictions;
     }
-    victim->stripe = stripe;
-    std::fill_n(victim->valid, valid_words_, 0);
+    it->second->stripe = stripe;
+    std::fill_n(it->second->valid, valid_words_, 0);
     ++stats_.insertions;
   }
   Slot& s = *it->second;
-  lru_.splice(lru_.begin(), lru_, it->second);
   std::memcpy(block(s, cell), in.data(), block_bytes_);
   s.valid[static_cast<std::size_t>(cell) / 64] |=
       1ull << (static_cast<std::size_t>(cell) % 64);
@@ -89,14 +90,13 @@ void StripeCache::invalidate(std::int64_t stripe) {
   std::lock_guard lk(mu_);
   const auto it = index_.find(stripe);
   if (it == index_.end()) return;
-  it->second->stripe = kFree;
-  lru_.splice(lru_.end(), lru_, it->second);
+  free_.splice(free_.end(), used_, it->second);
   index_.erase(it);
 }
 
 void StripeCache::invalidate_all() {
   std::lock_guard lk(mu_);
-  for (Slot& s : lru_) s.stripe = kFree;
+  free_.splice(free_.end(), used_);
   index_.clear();
 }
 

@@ -1,13 +1,22 @@
 #pragma once
-// Write-through LRU cache of stripe data blocks, keyed by (stripe, data
+// Write-through stripe cache of data blocks, keyed by (stripe, data
 // index within the stripe). It is one slab of fixed slots allocated at
 // construction: a slot holds one stripe's data blocks plus a validity
 // bitmap, so the cache can hold partially populated stripes (each block
 // becomes valid when it is first read or written through the owning
-// controller). A fill of an absent stripe takes the least recently used
-// slot, clears its validity bits and re-keys it, so a miss that evicts
-// allocates no block storage and zero-fills nothing. An invalidated
-// slot moves to the LRU tail and is reused first.
+// controller).
+//
+// Replacement is LRU with insertion at the cold end (LIP, Qureshi et
+// al., ISCA 2007): a fill of an absent stripe takes a free slot if
+// there is one, else the coldest slot, and leaves the stripe at the
+// eviction end; only a later touch (a lookup hit, or a fill of the
+// stripe while it is present) moves it to the hot end. A stripe touched
+// once is the next victim, so one-off misses on skewed traffic evict
+// one another rather than the hot set. A multi-block request fills its
+// stripe cell by cell, so its second cell already promotes it. A
+// recycled slot has its validity bits cleared and is re-keyed, so a
+// miss that evicts allocates no block storage and zero-fills nothing.
+// An invalidated slot goes back to the free list.
 //
 // The cache never goes to disk itself: the ArrayController performs the
 // I/O and calls fill() after every successful read or write
@@ -22,7 +31,7 @@
 // copying or touching anything; the write planner prices its reads with
 // it. It is a hint only: what it reports may be evicted before lookup().
 //
-// Thread safety: one mutex guards the LRU, the index and every copy, so
+// Thread safety: one mutex guards both lists, the index and every copy, so
 // concurrent lookup/fill/invalidate from any number of threads is safe
 // and a block is only ever copied whole (no torn block is visible).
 
@@ -52,8 +61,8 @@ class StripeCache {
 
   std::size_t capacity_stripes() const { return capacity_; }
 
-  /// Copy the cached value of (stripe, cell) into `out` and refresh
-  /// its LRU position. False (and no copy) when the block is absent.
+  /// Copy the cached value of (stripe, cell) into `out` and move the
+  /// stripe to the hot end. False (and no copy) when the block is absent.
   bool lookup(std::int64_t stripe, int cell, std::span<std::uint8_t> out);
 
   /// Which data cells of `stripe` are cached: bit i of `valid` (64 cells
@@ -64,8 +73,9 @@ class StripeCache {
   void probe(std::int64_t stripe, std::span<std::uint64_t> valid) const;
   std::size_t valid_words() const { return valid_words_; }
 
-  /// Install the block's current value (insert-or-update + LRU touch),
-  /// recycling the least recently used slot when the stripe is absent.
+  /// Install the block's current value. A present stripe moves to the
+  /// hot end; an absent one takes a free slot, else the coldest slot,
+  /// and stays at the cold end until its next touch.
   void fill(std::int64_t stripe, int cell, std::span<const std::uint8_t> in);
 
   /// Drop one stripe / everything.
@@ -75,13 +85,12 @@ class StripeCache {
   Stats stats() const;
 
  private:
-  static constexpr std::int64_t kFree = -1;
   struct Slot {
-    std::int64_t stripe = kFree;
+    std::int64_t stripe = -1;        // its key while in used_
     std::uint8_t* blocks = nullptr;  // cells_per_stripe blocks, in slab_
     std::uint64_t* valid = nullptr;  // bitmap over data indices, in valid_
   };
-  using Lru = std::list<Slot>;
+  using Slots = std::list<Slot>;
 
   std::uint8_t* block(const Slot& s, int cell) const {
     return s.blocks + static_cast<std::size_t>(cell) * block_bytes_;
@@ -94,8 +103,9 @@ class StripeCache {
   std::vector<std::uint64_t> valid_;
 
   mutable std::mutex mu_;
-  Lru lru_;  // every slot; front = most recently used, free slots last
-  std::unordered_map<std::int64_t, Lru::iterator> index_;
+  Slots used_;  // keyed slots; front = hot end, back = next victim
+  Slots free_;  // never used or invalidated; taken before any eviction
+  std::unordered_map<std::int64_t, Slots::iterator> index_;
   Stats stats_;
 };
 

@@ -113,13 +113,14 @@ void Volume::execute_controller(std::span<QueuedOp> ops) {
   // in one batched call of their own.
   using SubRead = mig::ArrayController::SubRead;
   const std::size_t bs = block_bytes();
-  std::vector<mig::ArrayController::SubWrite> subs;
-  std::vector<SubRead> reads;
-  std::vector<QueuedOp*> writes, readers;
-  subs.reserve(ops.size());
-  reads.reserve(ops.size());
-  writes.reserve(ops.size());
-  readers.reserve(ops.size());
+  // Per-thread scratch, cleared per call: a shard never nests execute.
+  thread_local std::vector<mig::ArrayController::SubWrite> subs;
+  thread_local std::vector<SubRead> reads;
+  thread_local std::vector<QueuedOp*> writes, readers;
+  subs.clear();
+  reads.clear();
+  writes.clear();
+  readers.clear();
   for (QueuedOp& op : ops) {
     const Request& r = op.req;
     const bool read = r.kind == OpKind::kRead || r.kind == OpKind::kReadRange;

@@ -205,21 +205,88 @@ TEST(ControllerCache, FailAndRebuildInvalidate) {
 TEST(StripeCache, EvictionCountedOncePerEvictedStripe) {
   // capacity 2: every insertion beyond the second evicts exactly one
   // stripe, and evictions must count one per stripe pushed out — not
-  // per cell, not per LRU touch.
+  // per cell, not per touch.
   StripeCache cache(2, /*cells_per_stripe=*/4, kBlock);
   std::vector<std::uint8_t> blk(kBlock, 0x11);
+  std::vector<std::uint8_t> out(kBlock);
   cache.fill(0, 0, blk);
-  cache.fill(0, 1, blk);  // same stripe: update, no insertion
-  cache.fill(1, 0, blk);
+  cache.fill(0, 1, blk);  // same stripe: update (and promote), no insertion
+  cache.fill(1, 0, blk);  // enters at the cold end
   EXPECT_EQ(cache.stats().evictions, 0u);
-  cache.fill(2, 0, blk);  // evicts stripe 0
+  cache.fill(2, 0, blk);  // evicts stripe 1, the coldest
   EXPECT_EQ(cache.stats().evictions, 1u);
-  cache.fill(2, 1, blk);
+  EXPECT_FALSE(cache.lookup(1, 0, out));
+  EXPECT_TRUE(cache.lookup(0, 0, out));  // a hit: stripe 0 is hottest
+  cache.fill(2, 1, blk);  // promotes stripe 2 over stripe 0
   cache.fill(2, 2, blk);  // updates: still one eviction
   EXPECT_EQ(cache.stats().evictions, 1u);
-  cache.fill(3, 0, blk);  // evicts stripe 1
+  cache.fill(3, 0, blk);  // evicts stripe 0
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_EQ(cache.stats().insertions, 4u);
+  EXPECT_FALSE(cache.lookup(0, 0, out));
+  EXPECT_TRUE(cache.lookup(2, 0, out));
+  EXPECT_TRUE(cache.lookup(3, 0, out));
+}
+
+TEST(StripeCache, OneTouchStreamDoesNotEvictTheHotSet) {
+  // Scan resistance: a newcomer enters at the cold end, so a stream of
+  // stripes touched once evicts only its own previous newcomer and the
+  // two stripes touched twice survive it.
+  StripeCache cache(3, /*cells_per_stripe=*/4, kBlock);
+  const Buffer want = pattern(0x5A);
+  Buffer got(kBlock);
+  for (std::int64_t hot : {0, 1}) {
+    cache.fill(hot, 0, want.span());
+    ASSERT_TRUE(cache.lookup(hot, 0, got.span()));  // the second touch
+  }
+  for (std::int64_t s = 100; s < 200; ++s) {
+    cache.fill(s, 0, want.span());
+    if (s > 100) {
+      EXPECT_FALSE(cache.lookup(s - 1, 0, got.span())) << s;
+    }
+  }
+  EXPECT_EQ(cache.stats().evictions, 99u);
+  EXPECT_TRUE(cache.lookup(0, 0, got.span()));
+  EXPECT_TRUE(cache.lookup(1, 0, got.span()));
+  EXPECT_TRUE(cache.lookup(199, 0, got.span()));
+}
+
+TEST(StripeCache, SecondTouchPromotes) {
+  // A stripe hit by lookup, or filled again, after its insertion is
+  // promoted to the hot end, so the next miss evicts the other stripe.
+  const Buffer want = pattern(0x66);
+  Buffer got(kBlock);
+  for (const bool by_lookup : {true, false}) {
+    StripeCache cache(2, /*cells_per_stripe=*/4, kBlock);
+    cache.fill(0, 0, want.span());
+    cache.fill(1, 0, want.span());  // stripe 1 is now the coldest
+    if (by_lookup) {
+      ASSERT_TRUE(cache.lookup(1, 0, got.span()));
+    } else {
+      cache.fill(1, 0, want.span());
+    }
+    cache.fill(2, 0, want.span());  // the miss evicts stripe 0
+    EXPECT_TRUE(cache.lookup(1, 0, got.span())) << by_lookup;
+    EXPECT_FALSE(cache.lookup(0, 0, got.span())) << by_lookup;
+  }
+}
+
+TEST(StripeCache, MultiCellFillPromotes) {
+  // A multi-block request fills its stripe cell by cell: the second
+  // cell's fill makes the stripe the hottest, above a stripe that a
+  // lookup promoted earlier, so the next miss evicts that one instead.
+  StripeCache cache(2, /*cells_per_stripe=*/4, kBlock);
+  const Buffer want = pattern(0x77);
+  Buffer got(kBlock);
+  cache.fill(0, 0, want.span());
+  ASSERT_TRUE(cache.lookup(0, 0, got.span()));
+  cache.fill(1, 0, want.span());
+  cache.fill(1, 1, want.span());
+  cache.fill(2, 0, want.span());  // evicts stripe 0, now the coldest
+  EXPECT_FALSE(cache.lookup(0, 0, got.span()));
+  EXPECT_TRUE(cache.lookup(1, 0, got.span()));
+  EXPECT_TRUE(cache.lookup(1, 1, got.span()));
+  EXPECT_TRUE(cache.lookup(2, 0, got.span()));
 }
 
 TEST(StripeCache, ConcurrentHammer) {
